@@ -76,6 +76,14 @@ L5_DATA_THREADS=3 L5_PAR_THRESHOLD=1024 \
     -- ./build/tests/test_stream --gtest_brief=1
 ./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
     -- ./build/tests/test_stream --gtest_brief=1
+# aliased-reply sweep: consumers copy straight out of producer piece
+# buffers on their own threads while a producer's serve path may drop the
+# snapshot those buffers belong to; the payload's snapshot reference must
+# keep every read valid under seeded schedules
+./build/tools/mh5sched --seeds 1:5 --timeout 120 --jobs "$jobs" --check --race \
+    -- ./build/tests/test_codec --gtest_brief=1 --gtest_filter='ZeroCopyServe.*'
+./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
+    -- ./build/tests/test_codec --gtest_brief=1 --gtest_filter='ZeroCopyServe.*'
 # MVCC snapshot-index sweep: versioned pins, GC on last unpin, and the
 # defer-until-published read protocol must stay torn-read-free and
 # hang-free under seeded schedules (the full 200-seed sweep runs in CI)
@@ -93,12 +101,14 @@ if [[ $tsan -eq 1 ]]; then
     # ring buffers / registry (concurrent emit vs snapshot), the
     # abort/deadline/fault-injection hang-regression suite, the
     # deterministic scheduler (cooperative handoffs + replay corpus),
-    # and the MVCC snapshot store (lock-free pins racing publish/GC)
+    # the selection kernels and aliased replies (consumers reading
+    # producer buffers across threads), and the MVCC snapshot store
+    # (lock-free pins racing publish/GC)
     # scripts/tsan.supp silences the libstdc++ _Sp_atomic artifact (see
     # the file header); everything else still fails the run
     TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp" \
         ctest --test-dir build-tsan --output-on-failure --no-tests=error --timeout 300 -j "$jobs" \
-          -R 'Simmpi|AsyncServe|QueryPipeline|DistVol|Telemetry|FaultInjection|Sched|Stream|Mvcc|Snapshot'
+          -R 'Simmpi|AsyncServe|QueryPipeline|DistVol|Telemetry|FaultInjection|Sched|Kern|Codec|ZeroCopy|WireModel|Stream|Mvcc|Snapshot'
 fi
 
 if [[ $ubsan -eq 1 ]]; then

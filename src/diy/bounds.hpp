@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 
 namespace diy {
@@ -61,9 +62,15 @@ struct Bounds {
         }
     }
 
+    /// Throws std::out_of_range for a wire dimension outside [0, max_dim]
+    /// instead of writing past the coordinate arrays.
     template <typename Buffer>
     static Bounds load(Buffer& bb) {
-        Bounds b(bb.template load<std::int32_t>());
+        const auto d = bb.template load<std::int32_t>();
+        if (d < 0 || d > max_dim)
+            throw std::out_of_range("diy::Bounds: dimension " + std::to_string(d)
+                                    + " outside [0, " + std::to_string(max_dim) + "]");
+        Bounds b(d);
         for (int i = 0; i < b.dim; ++i) {
             bb.load(b.min[static_cast<std::size_t>(i)]);
             bb.load(b.max[static_cast<std::size_t>(i)]);

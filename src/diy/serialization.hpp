@@ -35,20 +35,28 @@ public:
         data_.insert(data_.end(), b, b + n);
     }
 
+    /// Bytes left to read. Checks compare lengths against this rather
+    /// than computing `pos_ + n`, which wraps for wire-supplied n.
+    std::size_t remaining() const { return pos_ < data_.size() ? data_.size() - pos_ : 0; }
+
     /// Advance the read cursor past `n` bytes and return a pointer to the
     /// skipped region (valid while the buffer lives) — zero-copy reads.
+    /// Throws, cursor unchanged, when fewer than n bytes remain.
     const std::byte* skip(std::size_t n) {
-        if (pos_ + n > data_.size())
-            throw std::out_of_range("diy::BinaryBuffer: skip past end");
+        if (n > remaining())
+            throw std::out_of_range("diy::BinaryBuffer: skip of " + std::to_string(n)
+                                    + " bytes past end (" + std::to_string(remaining())
+                                    + " left)");
         const std::byte* p = data_.data() + pos_;
         pos_ += n;
         return p;
     }
 
     void load_raw(void* p, std::size_t n) {
-        if (pos_ + n > data_.size())
-            throw std::out_of_range("diy::BinaryBuffer: read past end ("
-                                    + std::to_string(pos_ + n) + " > " + std::to_string(data_.size()) + ")");
+        if (n > remaining())
+            throw std::out_of_range("diy::BinaryBuffer: read of " + std::to_string(n)
+                                    + " bytes past end (" + std::to_string(remaining())
+                                    + " left)");
         std::memcpy(p, data_.data() + pos_, n);
         pos_ += n;
     }
@@ -78,8 +86,12 @@ public:
         save_raw(s.data(), s.size());
     }
 
+    /// Throws before allocating when the claimed length exceeds the bytes left.
     void load(std::string& s) {
-        auto n = load<std::uint64_t>();
+        const auto n = load<std::uint64_t>();
+        if (n > remaining())
+            throw std::out_of_range("diy::BinaryBuffer: string of " + std::to_string(n)
+                                    + " bytes claimed, " + std::to_string(remaining()) + " left");
         s.resize(n);
         load_raw(s.data(), n);
     }
@@ -91,10 +103,16 @@ public:
         save_raw(v.data(), v.size() * sizeof(T));
     }
 
+    /// Throws before allocating when the claimed element count exceeds
+    /// the bytes left (divided, so `n * sizeof(T)` cannot overflow).
     template <typename T>
         requires std::is_trivially_copyable_v<T>
     void load(std::vector<T>& v) {
-        auto n = load<std::uint64_t>();
+        const auto n = load<std::uint64_t>();
+        if (n > remaining() / sizeof(T))
+            throw std::out_of_range("diy::BinaryBuffer: " + std::to_string(n) + " elements of "
+                                    + std::to_string(sizeof(T)) + " bytes claimed, "
+                                    + std::to_string(remaining()) + " bytes left");
         v.resize(n);
         load_raw(v.data(), n * sizeof(T));
     }

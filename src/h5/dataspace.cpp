@@ -349,13 +349,7 @@ void Dataspace::save(diy::BinaryBuffer& bb) const {
     bb.save<std::uint8_t>(all_ ? 1 : 0);
     if (!all_) {
         bb.save<std::uint64_t>(boxes_.size());
-        for (const auto& b : boxes_) {
-            bb.save<std::int32_t>(b.dim);
-            for (int i = 0; i < b.dim; ++i) {
-                bb.save(b.min[static_cast<std::size_t>(i)]);
-                bb.save(b.max[static_cast<std::size_t>(i)]);
-            }
-        }
+        for (const auto& b : boxes_) b.save(bb);
     }
 }
 
@@ -367,13 +361,11 @@ Dataspace Dataspace::load(diy::BinaryBuffer& bb) {
         sp.select_none();
         auto n = bb.load<std::uint64_t>();
         for (std::uint64_t k = 0; k < n; ++k) {
-            diy::Bounds b(bb.load<std::int32_t>());
-            for (int i = 0; i < b.dim; ++i) {
-                bb.load(b.min[static_cast<std::size_t>(i)]);
-                bb.load(b.max[static_cast<std::size_t>(i)]);
-            }
-            // saved selections were validated disjoint when constructed
-            sp.add_box_unchecked(b);
+            // Bounds::load rejects a rank outside [0, max_dim] before
+            // writing coordinates; add_box_unchecked rejects one that
+            // differs from the extent's, and boxes outside the extent.
+            // Saved selections were validated disjoint when constructed.
+            sp.add_box_unchecked(diy::Bounds::load(bb));
         }
     }
     return sp;
@@ -466,9 +458,8 @@ void copy_selected(const Dataspace& src_space, const void* src, const Dataspace&
 
 // --- vectorized segment runner -----------------------------------------------
 //
-// The vectorized kernels run the same O(S + D) two-pointer merge as the
-// coalesced ones, but instead of a memcpy per matched segment they
-// materialize the flat segment list {dst, src, len} and hand it to the
+// The merges materialize a flat segment list {dst, src, len}; outside
+// coalesced mode (a plain memcpy per segment) the list goes to the
 // width-specialized kern:: copy kernels. Above the h5::par threshold the
 // list is split into ~equal-byte chunks (cutting large segments, so a
 // single slab-on-slab run still fans out) and executed across the pool —
@@ -532,64 +523,55 @@ void run_segments(std::byte* dst, const std::byte* src, const std::vector<kern::
     });
 }
 
-void extract_from_packed_vec(const Dataspace& piece_space, const void* piece_packed,
-                             const Dataspace& want, std::size_t elem,
-                             std::vector<std::byte>& out) {
-    const auto& pruns = piece_space.runs_by_file();
-    const auto& wruns = want.runs_by_file();
+/// Plan the fused gather-scatter merge: walk `sub`'s runs in file order
+/// with one forward cursor through the source runs and one through the
+/// destination runs (all three sorted by file offset; runs of one
+/// selection are disjoint, so neither cursor ever moves back). Each
+/// segment is the longest stretch contiguous on all three. Throws, before
+/// anything is copied, when an element of `sub` is missing on either side.
+std::vector<kern::Seg> plan_merge(std::span<const Run> src_runs, const Dataspace& sub,
+                                  std::span<const Run> dst_runs, std::size_t elem) {
+    // advance `i` to the run holding file offset `target`; returns the
+    // offset within that run
+    auto seek = [](std::span<const Run> runs, std::size_t& i, std::uint64_t target,
+                   const char* side) {
+        while (i < runs.size() && runs[i].file_off + runs[i].len <= target) ++i;
+        if (i == runs.size() || runs[i].file_off > target)
+            throw Error(std::string("h5: gather_scatter: element not covered by the ") + side);
+        return target - runs[i].file_off;
+    };
 
-    const auto*         src   = static_cast<const std::byte*>(piece_packed);
-    const auto          base  = out.size();
-    const std::uint64_t bytes = want.npoints() * elem;
-    out.resize(base + bytes);
-    auto* dst = out.data() + base;
-
+    const auto&            wruns = sub.runs_by_file();
     std::vector<kern::Seg> segs;
     segs.reserve(wruns.size());
-    std::size_t pi = 0;
+    std::size_t si = 0, di = 0;
     for (const auto& w : wruns) {
-        std::uint64_t copied = 0;
-        while (copied < w.len) {
-            const std::uint64_t target = w.file_off + copied;
-            while (pi < pruns.size() && pruns[pi].file_off + pruns[pi].len <= target) ++pi;
-            if (pi == pruns.size() || pruns[pi].file_off > target)
-                throw Error("h5: extract_from_packed: requested element not covered by piece");
-            const std::uint64_t within = target - pruns[pi].file_off;
-            const std::uint64_t take   = std::min(pruns[pi].len - within, w.len - copied);
-            segs.push_back({(w.packed_off + copied) * elem,
-                            (pruns[pi].packed_off + within) * elem, take * elem});
-            copied += take;
+        for (std::uint64_t done = 0; done < w.len;) {
+            const std::uint64_t target = w.file_off + done;
+            const std::uint64_t s_in   = seek(src_runs, si, target, "source");
+            const std::uint64_t d_in   = seek(dst_runs, di, target, "destination");
+            const std::uint64_t take =
+                std::min({src_runs[si].len - s_in, dst_runs[di].len - d_in, w.len - done});
+            segs.push_back({(dst_runs[di].packed_off + d_in) * elem,
+                            (src_runs[si].packed_off + s_in) * elem, take * elem});
+            done += take;
         }
     }
-    run_segments(dst, src, segs, bytes);
+    return segs;
 }
 
-void scatter_into_packed_vec(const Dataspace& dest_space, void* dest_packed, const Dataspace& sub,
-                             const void* sub_packed, std::size_t elem) {
-    const auto& druns = dest_space.runs_by_file();
-    const auto& sruns = sub.runs_by_file();
-
-    auto*       dst = static_cast<std::byte*>(dest_packed);
-    const auto* src = static_cast<const std::byte*>(sub_packed);
-
-    std::vector<kern::Seg> segs;
-    segs.reserve(sruns.size());
-    std::size_t di = 0;
-    for (const auto& s : sruns) {
-        std::uint64_t copied = 0;
-        while (copied < s.len) {
-            const std::uint64_t target = s.file_off + copied;
-            while (di < druns.size() && druns[di].file_off + druns[di].len <= target) ++di;
-            if (di == druns.size() || druns[di].file_off > target)
-                throw Error("h5: scatter_into_packed: element not covered by destination");
-            const std::uint64_t within = target - druns[di].file_off;
-            const std::uint64_t take   = std::min(druns[di].len - within, s.len - copied);
-            segs.push_back({(druns[di].packed_off + within) * elem,
-                            (s.packed_off + copied) * elem, take * elem});
-            copied += take;
-        }
+/// Plan, then copy: coalesced mode keeps one plain memcpy per segment,
+/// the other modes run the width-specialized kernels and the pool fan-out.
+void merge(std::span<const Run> src_runs, const void* src, const Dataspace& sub,
+           std::span<const Run> dst_runs, void* dst, std::size_t elem, KernelMode mode) {
+    const auto  segs = plan_merge(src_runs, sub, dst_runs, elem);
+    auto*       d    = static_cast<std::byte*>(dst);
+    const auto* s    = static_cast<const std::byte*>(src);
+    if (mode == KernelMode::coalesced) {
+        for (const auto& seg : segs) std::memcpy(d + seg.dst, s + seg.src, seg.len);
+        return;
     }
-    run_segments(dst, src, segs, sub.npoints() * elem);
+    run_segments(d, s, segs, sub.npoints() * elem);
 }
 
 void extract_via_mapping_vec(const Dataspace& filespace, const Dataspace& memspace,
@@ -645,14 +627,115 @@ void extract_via_mapping_vec(const Dataspace& filespace, const Dataspace& memspa
 
 } // namespace
 
-// --- coalesced two-pointer kernels -------------------------------------------
+// --- fused gather-scatter merge ----------------------------------------------
 //
-// Both the "moving" side (the selection being walked) and the "lookup"
-// side (the space being addressed) are visited through their coalesced
-// runs sorted by file offset. Because runs of one selection are disjoint,
-// the lookup cursor only ever advances: a single O(S + D) forward merge
-// replaces a binary search per walked row. A slab-on-slab transfer
-// degenerates to one memcpy.
+// Every packed-to-packed copy is one forward merge over runs sorted by
+// file offset: the selection being moved, where the source holds it, and
+// where the destination wants it. A slab-on-slab transfer degenerates to
+// one segment. Extract and scatter are the two special cases where one
+// side is laid out as the moved selection itself.
+
+void gather_scatter(std::span<const SelRun> src_runs, const void* src, const Dataspace& sub,
+                    std::span<const SelRun> dst_runs, void* dst, std::size_t elem) {
+    const KernelMode mode = selection_kernel_mode();
+    obs::Span span("gather_scatter", "h5.kernel",
+                   {{"bytes", sub.npoints() * elem, nullptr},
+                    {"mode", 0, kernel_mode_name(mode)}});
+    merge(src_runs, src, sub, dst_runs, dst, elem, mode);
+}
+
+LocatedIntersection intersect_located(const Dataspace& piece, const Dataspace& query,
+                                      const Extent& dims) {
+    if (piece.dim() != query.dim())
+        throw Error("h5: intersecting selections of different rank");
+    LocatedIntersection out{Dataspace(dims), {}};
+    out.sub.select_none();
+    std::uint64_t off = 0; // piece elements packed before box pb
+    for (const auto& pb : piece.boxes()) {
+        for (const auto& qb : query.boxes())
+            if (auto common = diy::intersect(pb, qb)) {
+                out.sub.add_box(*common);
+                out.where.push_back({pb, off});
+            }
+        off += pb.size();
+    }
+    return out;
+}
+
+std::vector<SelRun> located_runs(const Dataspace& sub, std::span<const PackedBox> where,
+                                 std::uint64_t buf_elems) {
+    const auto& boxes = sub.boxes();
+    if (where.size() != boxes.size())
+        throw Error("h5: located_runs: " + std::to_string(where.size())
+                    + " enclosing boxes for " + std::to_string(boxes.size()) + " selection boxes");
+    const int   d    = sub.dim();
+    const auto  last = static_cast<std::size_t>(d - 1);
+    const auto& dims = sub.dims();
+
+    std::array<std::uint64_t, diy::max_dim> stride{}; // row-major strides of the extent
+    stride[last] = 1;
+    for (int i = d - 2; i >= 0; --i)
+        stride[static_cast<std::size_t>(i)] =
+            stride[static_cast<std::size_t>(i + 1)] * dims[static_cast<std::size_t>(i + 1)];
+
+    std::vector<SelRun> runs;
+    for (std::size_t k = 0; k < boxes.size(); ++k) {
+        const auto& b     = boxes[k];
+        const auto& outer = where[k].outer;
+        if (outer.dim != d)
+            throw Error("h5: located_runs: enclosing box rank " + std::to_string(outer.dim)
+                        + " differs from the selection's " + std::to_string(d));
+        // validate everything that feeds an offset before emitting a run:
+        // outer inside the extent, b inside outer, outer inside the buffer
+        std::array<std::uint64_t, diy::max_dim> ostride{}; // row-major strides of outer
+        std::uint64_t                           osize = 1;
+        for (int i = d - 1; i >= 0; --i) {
+            const auto u = static_cast<std::size_t>(i);
+            if (outer.min[u] < 0 || outer.max[u] > static_cast<std::int64_t>(dims[u])
+                || b.min[u] < outer.min[u] || b.max[u] > outer.max[u])
+                throw Error("h5: located_runs: box " + b.str() + " is not inside enclosing box "
+                            + outer.str() + " within the extent");
+            ostride[u] = osize;
+            if (__builtin_mul_overflow(osize, static_cast<std::uint64_t>(outer.max[u] - outer.min[u]),
+                                       &osize))
+                throw Error("h5: located_runs: enclosing box " + outer.str() + " overflows");
+        }
+        const std::uint64_t offset = where[k].offset;
+        if (osize > buf_elems || offset > buf_elems - osize)
+            throw Error("h5: located_runs: enclosing box " + outer.str() + " at element "
+                        + std::to_string(offset) + " reaches past the "
+                        + std::to_string(buf_elems) + "-element buffer");
+
+        // one run per row of b, merged when contiguous in both the file
+        // linearization and the buffer
+        const auto row_len = static_cast<std::uint64_t>(b.max[last] - b.min[last]);
+        std::array<std::int64_t, diy::max_dim> c = b.min;
+        for (;;) {
+            std::uint64_t fo = 0, bo = offset;
+            for (std::size_t u = 0; u <= last; ++u) {
+                fo += static_cast<std::uint64_t>(c[u]) * stride[u];
+                bo += static_cast<std::uint64_t>(c[u] - outer.min[u]) * ostride[u];
+            }
+            if (!runs.empty() && runs.back().file_off + runs.back().len == fo
+                && runs.back().packed_off + runs.back().len == bo)
+                runs.back().len += row_len;
+            else
+                runs.push_back({fo, row_len, bo});
+
+            int i = d - 2;
+            for (; i >= 0; --i) {
+                const auto u = static_cast<std::size_t>(i);
+                if (++c[u] < b.max[u]) break;
+                c[u] = b.min[u];
+            }
+            if (i < 0) break;
+        }
+    }
+    // boxes of a selection need not be stored in file order
+    std::sort(runs.begin(), runs.end(),
+              [](const Run& a, const Run& x) { return a.file_off < x.file_off; });
+    return runs;
+}
 
 void extract_from_packed(const Dataspace& piece_space, const void* piece_packed,
                          const Dataspace& want, std::size_t elem, std::vector<std::byte>& out) {
@@ -662,32 +745,10 @@ void extract_from_packed(const Dataspace& piece_space, const void* piece_packed,
                     {"mode", 0, kernel_mode_name(mode)}});
     if (mode == KernelMode::naive)
         return extract_from_packed_naive(piece_space, piece_packed, want, elem, out);
-    if (mode == KernelMode::vectorized)
-        return extract_from_packed_vec(piece_space, piece_packed, want, elem, out);
-
-    const auto& pruns = piece_space.runs_by_file();
-    const auto& wruns = want.runs_by_file();
-
-    const auto* src  = static_cast<const std::byte*>(piece_packed);
-    const auto  base = out.size();
+    const auto base = out.size();
     out.resize(base + want.npoints() * elem);
-    auto* dst = out.data() + base;
-
-    std::size_t pi = 0;
-    for (const auto& w : wruns) {
-        std::uint64_t copied = 0;
-        while (copied < w.len) {
-            const std::uint64_t target = w.file_off + copied;
-            while (pi < pruns.size() && pruns[pi].file_off + pruns[pi].len <= target) ++pi;
-            if (pi == pruns.size() || pruns[pi].file_off > target)
-                throw Error("h5: extract_from_packed: requested element not covered by piece");
-            const std::uint64_t within = target - pruns[pi].file_off;
-            const std::uint64_t take   = std::min(pruns[pi].len - within, w.len - copied);
-            std::memcpy(dst + (w.packed_off + copied) * elem,
-                        src + (pruns[pi].packed_off + within) * elem, take * elem);
-            copied += take;
-        }
-    }
+    merge(piece_space.runs_by_file(), piece_packed, want, want.runs_by_file(), out.data() + base,
+          elem, mode);
 }
 
 void scatter_into_packed(const Dataspace& dest_space, void* dest_packed, const Dataspace& sub,
@@ -698,30 +759,7 @@ void scatter_into_packed(const Dataspace& dest_space, void* dest_packed, const D
                     {"mode", 0, kernel_mode_name(mode)}});
     if (mode == KernelMode::naive)
         return scatter_into_packed_naive(dest_space, dest_packed, sub, sub_packed, elem);
-    if (mode == KernelMode::vectorized)
-        return scatter_into_packed_vec(dest_space, dest_packed, sub, sub_packed, elem);
-
-    const auto& druns = dest_space.runs_by_file();
-    const auto& sruns = sub.runs_by_file();
-
-    auto*       dst = static_cast<std::byte*>(dest_packed);
-    const auto* src = static_cast<const std::byte*>(sub_packed);
-
-    std::size_t di = 0;
-    for (const auto& s : sruns) {
-        std::uint64_t copied = 0;
-        while (copied < s.len) {
-            const std::uint64_t target = s.file_off + copied;
-            while (di < druns.size() && druns[di].file_off + druns[di].len <= target) ++di;
-            if (di == druns.size() || druns[di].file_off > target)
-                throw Error("h5: scatter_into_packed: element not covered by destination");
-            const std::uint64_t within = target - druns[di].file_off;
-            const std::uint64_t take   = std::min(druns[di].len - within, s.len - copied);
-            std::memcpy(dst + (druns[di].packed_off + within) * elem,
-                        src + (s.packed_off + copied) * elem, take * elem);
-            copied += take;
-        }
-    }
+    merge(sub.runs_by_file(), sub_packed, sub, dest_space.runs_by_file(), dest_packed, elem, mode);
 }
 
 void extract_via_mapping(const Dataspace& filespace, const Dataspace& memspace,

@@ -31,11 +31,15 @@ struct DataPiece {
     std::vector<std::byte> owned; ///< packed in filespace iteration order (Deep)
     const void*            ref = nullptr; ///< user buffer (Shallow)
 
-    /// The piece's full payload as a stable packed buffer (filespace
-    /// iteration order), when one exists: Deep pieces own such a copy,
-    /// valid as long as the piece itself. Shallow pieces reference user
-    /// memory with no vector to share — returns nullptr. The zero-copy
-    /// serve path aliases this buffer on the wire instead of extracting.
+    /// The piece's full payload as a stable packed buffer, when one
+    /// exists: Deep pieces own such a copy, valid as long as the piece
+    /// itself. Shallow pieces reference user memory with no vector to
+    /// share — returns nullptr. Layout: filespace iteration order, i.e.
+    /// filespace's boxes in stored order, each row-major, box k starting
+    /// at the total size of boxes 0..k-1. That is all a reader needs to
+    /// find any sub-selection in it (h5::PackedBox, h5::located_runs), so
+    /// the zero-copy serve path aliases this buffer on the wire for any
+    /// wanted sub-selection instead of extracting one.
     const std::vector<std::byte>* packed_bytes() const {
         return ownership == Ownership::Deep ? &owned : nullptr;
     }

@@ -548,59 +548,59 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
         const std::size_t elem = node->type.size();
 
         // intersect each piece with the query exactly once, keeping the
-        // per-piece sub-selection for the extraction below
-        std::vector<std::pair<const h5::DataPiece*, Dataspace>> hits;
+        // per-piece sub-selection and where it sits in the piece's packed
+        // buffer (DataPiece::packed_bytes) — what an aliased reply sends
+        // instead of the bytes
+        struct Hit {
+            const h5::DataPiece*       piece;
+            Dataspace                  sub;
+            std::vector<h5::PackedBox> where; ///< one per box of sub
+        };
+        std::vector<Hit> hits;
         for (const auto& piece : node->pieces) {
-            auto common = intersect_selections(piece.filespace, fs);
-            if (common.empty()) continue;
-            Dataspace sub(node->space.dims());
-            sub.select_none();
-            for (const auto& b : common) sub.add_box(b);
-            hits.emplace_back(&piece, std::move(sub));
+            auto [sub, where] = h5::intersect_located(piece.filespace, fs, node->space.dims());
+            if (!where.empty()) hits.push_back({&piece, std::move(sub), std::move(where)});
         }
 
         diy::BinaryBuffer reply;
         reply.save(req_id);
         reply.save<std::uint64_t>(hits.size());
-        std::uint64_t          served = 0;
-        std::vector<std::byte> scratch; // reused staging for pieces we encode
+        std::uint64_t          served  = 0;
+        std::uint64_t          aliased = 0; // wanted bytes of the aliased pieces
+        std::vector<std::byte> scratch;     // reused staging for pieces we encode
         // pieces served without any copy: the reply header records u8 2
         // and the piece's packed buffer follows as its own aliased
         // message on the same (src, tag) stream — the mailbox's
         // non-overtaking guarantee keeps header and payloads paired
         std::vector<simmpi::SharedPayload> zc;
-        for (auto& [piece, sub] : hits) {
+        for (auto& [piece, sub, where] : hits) {
             sub.save(reply);
             const std::uint64_t nbytes = sub.npoints() * elem;
             reply.save(nbytes);
             const bool compress_this = accept && nbytes >= compress_min_bytes_;
-            // zero-copy eligibility: the query wants the whole piece (sub
-            // is a subset of the piece's selection, so equal counts mean
-            // equal selections) and the piece owns a packed copy whose
-            // layout is exactly the wanted bytes
-            const std::vector<std::byte>* full = nullptr;
-            if (!compress_this && nbytes >= zero_copy_min_bytes_
-                && sub.npoints() == piece->filespace.npoints())
-                if (const auto* pb = piece->packed_bytes(); pb && pb->size() == nbytes)
-                    full = pb;
-            if (full) {
+            // zero-copy eligibility: the piece owns a packed copy (Deep),
+            // compression was not negotiated, and the query wants enough
+            // of it to pay for a second message — whole piece or not
+            const std::vector<std::byte>* packed = piece->packed_bytes();
+            if (!compress_this && packed && nbytes >= zero_copy_min_bytes_) {
                 reply.save<std::uint8_t>(2);
+                save_aliased_header(reply, where);
                 // owning alias: the payload shares the snapshot's
                 // lifetime, so the piece's bytes stay valid on the wire
                 // even if the version is superseded and GC'd while the
                 // message is still in flight (a plain recv on the other
                 // side copies instead of moving them out from under us)
-                zc.emplace_back(simmpi::SharedPayload(snap.shared(), full));
+                zc.emplace_back(simmpi::SharedPayload(snap.shared(), packed));
                 c_zero_copy_pieces_.inc();
+                aliased += nbytes;
             } else if (compress_this) {
                 // piece payload goes out as a codec frame: u8 1, u64
                 // frame size (patched once known), then the frame. When
-                // the query wants the whole piece and it owns a packed
-                // copy, compress straight from it — no extract copy.
+                // the query wants the whole piece box for box (so sub's
+                // iteration order is the piece's) and the piece owns a
+                // packed copy, compress straight from it — no extract copy.
                 const std::byte* enc_src = nullptr;
-                if (sub.npoints() == piece->filespace.npoints())
-                    if (const auto* pb = piece->packed_bytes(); pb && pb->size() == nbytes)
-                        enc_src = pb->data();
+                if (packed && sub.boxes() == piece->filespace.boxes()) enc_src = packed->data();
                 if (!enc_src) {
                     scratch.clear();
                     piece->extract(sub, elem, scratch);
@@ -624,8 +624,9 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
             }
             served += nbytes;
         }
-        std::uint64_t wire = reply.size();
-        for (const auto& p : zc) wire += p->size();
+        // the wire carries the headers plus the bytes the consumer wants:
+        // an aliased piece counts its wanted bytes, not its whole buffer
+        const std::uint64_t wire = reply.size() + aliased;
         c_bytes_served_.add(served);
         c_bytes_wire_.add(wire);
         span.end_arg("bytes", served);
@@ -1416,16 +1417,25 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     std::byte* scatter_dst = direct ? direct : packed.data();
 
     // retained per-piece state for the direct path's holes fallback: the
-    // sub-selection plus a pointer into storage kept alive below (reply
-    // buffers, per-piece decode buffers, zero-copy payloads)
+    // sub-selection, a pointer into storage kept alive below (reply
+    // buffers, per-piece decode buffers, zero-copy payloads), and for an
+    // aliased piece where the sub-selection sits in that payload
     struct PieceRec {
-        Dataspace        sub;
-        const std::byte* data;
+        Dataspace               sub;
+        const std::byte*        data = nullptr;
+        std::vector<h5::SelRun> located; ///< empty: data is packed in sub's order
     };
     std::vector<PieceRec>                    recs;
     std::deque<diy::BinaryBuffer>            kept_replies;
     std::deque<std::unique_ptr<std::byte[]>> kept_decoded; // uninitialized: decode fills them
     std::vector<simmpi::SharedPayload>       shared_payloads; // alive until scatters finish
+
+    // one piece into the selection's packed layout: a single fused merge
+    // from wherever its bytes sit, direct, staged, or replayed
+    auto merge_piece = [&](const PieceRec& r, std::byte* dst) {
+        h5::gather_scatter(r.located.empty() ? r.sub.runs_by_file() : r.located, r.data, r.sub,
+                           filespace.runs_by_file(), dst, elem);
+    };
 
     // reused staging when nothing is retained; uninitialized for the
     // same reason as the codec scratch (decompress_frame fills exactly
@@ -1435,19 +1445,23 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     auto scatter_reply = [&](diy::BinaryBuffer& reply, int from) {
         auto npieces = reply.load<std::uint64_t>();
         for (std::uint64_t k = 0; k < npieces; ++k) {
-            Dataspace        sub    = Dataspace::load(reply);
-            auto             nbytes = reply.load<std::uint64_t>();
-            const auto       enc    = reply.load<std::uint8_t>();
-            const std::byte* data;
+            PieceRec   rec{Dataspace::load(reply), nullptr, {}};
+            const auto nbytes = reply.load<std::uint64_t>();
+            const auto enc    = reply.load<std::uint8_t>();
+            // every offset below derives from sub and nbytes: sub must be
+            // a selection of the queried extent, nbytes exactly its bytes
+            if (rec.sub.dims() != filespace.dims() || nbytes != rec.sub.npoints() * elem)
+                throw Error("lowfive: data reply piece does not match the query's extent");
             if (enc == 2) {
-                // zero-copy piece: the payload follows the header as its
-                // own message on the same (src, tag) stream; scatter
-                // straight out of the producer's (aliased) buffer
+                // zero-copy piece: the producer's whole packed buffer
+                // follows as its own message on the same (src, tag)
+                // stream; the header says where sub sits in it, checked
+                // against the payload's size before any byte is copied
                 simmpi::SharedPayload payload;
-                auto st = conn.ic.recv_shared(from, rpc_data_reply, payload);
-                if (st.count != nbytes || !payload)
-                    throw Error("lowfive: zero-copy data payload has unexpected size");
-                data = payload->data();
+                conn.ic.recv_shared(from, rpc_data_reply, payload);
+                if (!payload) throw Error("lowfive: zero-copy data payload missing");
+                rec.located = load_aliased_header(reply, rec.sub, payload->size(), elem);
+                rec.data    = payload->data();
                 shared_payloads.push_back(std::move(payload));
             } else if (enc == 1) {
                 const auto       fsz   = reply.load<std::uint64_t>();
@@ -1468,16 +1482,16 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
                 }
                 obs::ScopedTimerNs dec_timer(c_t_decode_ns_);
                 codec::decompress_frame(frame, fsz, dst);
-                data = dst;
+                rec.data = dst;
             } else {
-                data = reply.skip(nbytes); // scatter in place
+                rec.data = reply.skip(nbytes); // scatter in place
             }
             fetched += nbytes;
             {
                 obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
-                scatter_into_packed(filespace, scatter_dst, sub, data, elem);
+                merge_piece(rec, scatter_dst);
             }
-            if (direct) recs.push_back({std::move(sub), data});
+            if (direct) recs.push_back(std::move(rec));
         }
     };
     if (pipelining_) {
@@ -1531,13 +1545,34 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
         if (covered < filespace.npoints()) {
             obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
             std::memset(direct, 0, filespace.npoints() * elem);
-            for (const auto& r : recs)
-                scatter_into_packed(filespace, direct, r.sub, r.data, elem);
+            for (const auto& r : recs) merge_piece(r, direct);
         }
     } else {
         obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
         unpack_selection(memspace, packed.data(), elem, buf);
     }
+}
+
+void save_aliased_header(diy::BinaryBuffer& bb, std::span<const h5::PackedBox> where) {
+    bb.save<std::uint64_t>(where.size());
+    for (const auto& w : where) {
+        w.outer.save(bb);
+        bb.save(w.offset);
+    }
+}
+
+std::vector<h5::SelRun> load_aliased_header(diy::BinaryBuffer& bb, const Dataspace& sub,
+                                            std::uint64_t payload_bytes, std::size_t elem) {
+    const auto n = bb.load<std::uint64_t>();
+    if (n != sub.boxes().size())
+        throw Error("lowfive: aliased reply locates " + std::to_string(n) + " boxes of a "
+                    + std::to_string(sub.boxes().size()) + "-box piece");
+    std::vector<h5::PackedBox> where(n);
+    for (auto& w : where) {
+        w.outer  = diy::Bounds::load(bb);
+        w.offset = bb.load<std::uint64_t>();
+    }
+    return h5::located_runs(sub, where, payload_bytes / elem);
 }
 
 } // namespace lowfive

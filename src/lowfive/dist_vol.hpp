@@ -15,8 +15,10 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 namespace diy {
 class BinaryBuffer;
@@ -117,12 +119,16 @@ public:
     /// compressed (header + codec overhead would dominate). Default 4 KiB.
     void set_compress_min_bytes(std::uint64_t n) { compress_min_bytes_ = n; }
 
-    /// Serve side: when a data query wants a whole piece (the common
-    /// crossing-decomposition case) and the piece owns a packed copy, the
-    /// reply aliases that buffer on the wire instead of extracting —
-    /// zero serve-side copies. Pieces smaller than this many bytes are
+    /// Serve side: when a data query wants at least this many bytes of a
+    /// piece that owns a packed copy (Ownership::Deep), the reply aliases
+    /// the piece's whole packed buffer on the wire instead of extracting
+    /// the wanted part — zero serve-side copies, whether the query wants
+    /// the whole piece or, as in crossing decompositions, a slice of it.
+    /// The reply header says where the wanted elements sit in the buffer
+    /// and the consumer copies them out in one merge. Smaller wants are
     /// copied inline instead (a second message per piece has fixed
-    /// protocol cost). Default 64 KiB; compression takes precedence.
+    /// protocol cost). Default 64 KiB; compression takes precedence, and
+    /// Shallow (set_zerocopy) pieces always extract.
     void set_zero_copy_min_bytes(std::uint64_t n) { zero_copy_min_bytes_ = n; }
 
     // --- step-versioned streaming (see stream/stream.hpp and DESIGN.md
@@ -418,5 +424,24 @@ private:
     mvcc::SnapshotStore snapshots_{
         mvcc::SnapshotStore::Metrics{&g_snapshots_live_, &c_snapshot_pins_, &c_snapshot_gc_}};
 };
+
+// --- aliased data-reply pieces (enc 2) ----------------------------------------
+//
+// A piece served as an aliased buffer is followed in the reply header by
+// one (enclosing piece box, element offset) pair per box of its
+// sub-selection: where the wanted elements sit in the piece's packed
+// buffer, which travels as its own message. The header grows with the
+// sub-selection, never with the piece's whole selection.
+
+/// Append the enc-2 header; `where[k]` locates box k of the sub-selection.
+void save_aliased_header(diy::BinaryBuffer& bb, std::span<const h5::PackedBox> where);
+
+/// Read an enc-2 header for `sub` and locate sub's elements in an aliased
+/// payload of `payload_bytes` bytes holding `elem`-byte elements: the
+/// source runs for h5::gather_scatter. Throws h5::Error when the header
+/// does not describe `sub` or locates an element past the payload, so a
+/// malformed reply is rejected before any byte is copied.
+std::vector<h5::SelRun> load_aliased_header(diy::BinaryBuffer& bb, const h5::Dataspace& sub,
+                                            std::uint64_t payload_bytes, std::size_t elem);
 
 } // namespace lowfive

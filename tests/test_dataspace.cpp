@@ -147,6 +147,33 @@ TEST(Dataspace, SaveLoadRoundtrip) {
     EXPECT_EQ(Dataspace::load(bb2), all);
 }
 
+TEST(Dataspace, LoadRejectsMalformedBoxes) {
+    // hand-built wire bytes: a rank-2 extent with one explicit box whose
+    // rank comes from the wire (coordinates for up to 16 dims follow)
+    auto with_box_rank = [](std::int32_t box_dim) {
+        diy::BinaryBuffer bb;
+        bb.save(Extent{8, 8});
+        bb.save<std::uint8_t>(0);
+        bb.save<std::uint64_t>(1);
+        bb.save<std::int32_t>(box_dim);
+        for (int i = 0; i < 16; ++i) {
+            bb.save<std::int64_t>(0);
+            bb.save<std::int64_t>(2);
+        }
+        return bb;
+    };
+    auto ok = with_box_rank(2);
+    EXPECT_EQ(Dataspace::load(ok).npoints(), 4u);
+    // past max_dim: rejected before writing a coordinate
+    auto too_deep = with_box_rank(diy::max_dim + 1);
+    EXPECT_THROW(Dataspace::load(too_deep), std::out_of_range);
+    auto negative = with_box_rank(-3);
+    EXPECT_THROW(Dataspace::load(negative), std::out_of_range);
+    // a valid rank that is not the extent's
+    auto other_rank = with_box_rank(3);
+    EXPECT_THROW(Dataspace::load(other_rank), Error);
+}
+
 TEST(SelectionAlgebra, IntersectDisjointResult) {
     Dataspace a({10, 10}), b({10, 10});
     a.select_box(box2(0, 6, 0, 6));

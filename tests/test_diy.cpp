@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 using namespace diy;
 
@@ -199,4 +202,54 @@ TEST(BinaryBuffer, RewindReplays) {
     EXPECT_EQ(bb.load<int>(), 42);
     bb.rewind();
     EXPECT_EQ(bb.load<int>(), 42);
+}
+
+TEST(BinaryBuffer, HugeSkipThrowsAndKeepsCursor) {
+    // pos + n wraps for a wire-supplied n near SIZE_MAX: the check must
+    // compare against the bytes left instead
+    BinaryBuffer bb;
+    bb.save<std::uint32_t>(7);
+    bb.save<std::uint32_t>(9);
+    EXPECT_EQ(bb.load<std::uint32_t>(), 7u);
+    const auto pos = bb.position();
+    EXPECT_THROW(bb.skip(SIZE_MAX), std::out_of_range);
+    EXPECT_THROW(bb.skip(SIZE_MAX - 2), std::out_of_range);
+    std::uint32_t sink = 0;
+    EXPECT_THROW(bb.load_raw(&sink, SIZE_MAX), std::out_of_range);
+    EXPECT_EQ(bb.position(), pos);
+    EXPECT_EQ(bb.load<std::uint32_t>(), 9u);
+}
+
+TEST(BinaryBuffer, OversizedLengthPrefixThrowsBeforeAllocating) {
+    // 2^33 u64s would be a 64 GiB resize; the claim exceeds the bytes
+    // left, so the load throws with the vector still unallocated
+    BinaryBuffer bb;
+    bb.save<std::uint64_t>(std::uint64_t{1} << 33);
+    bb.save<std::uint64_t>(5);
+    std::vector<std::uint64_t> v;
+    EXPECT_THROW(bb.load(v), std::out_of_range);
+    EXPECT_EQ(v.capacity(), 0u);
+
+    // a count whose byte size wraps in n * sizeof(T)
+    BinaryBuffer wrap;
+    wrap.save<std::uint64_t>((std::uint64_t{1} << 61) + 1);
+    wrap.save<std::uint64_t>(5);
+    EXPECT_THROW(wrap.load(v), std::out_of_range);
+    EXPECT_EQ(v.capacity(), 0u);
+
+    BinaryBuffer str;
+    str.save<std::uint64_t>(std::uint64_t{1} << 40);
+    std::string s;
+    EXPECT_THROW(str.load(s), std::out_of_range);
+    EXPECT_EQ(s.capacity(), std::string().capacity());
+}
+
+TEST(Bounds, LoadRejectsDimensionOutsideMaxDim) {
+    // a wire dim of 9 would write past the 8-entry coordinate arrays
+    for (std::int32_t d : {max_dim + 1, 1000, -1}) {
+        BinaryBuffer bb;
+        bb.save<std::int32_t>(d);
+        for (int i = 0; i < 2 * 16; ++i) bb.save<std::int64_t>(i);
+        EXPECT_THROW(Bounds::load(bb), std::out_of_range) << "dim " << d;
+    }
 }

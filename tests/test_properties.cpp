@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -141,6 +143,63 @@ TEST_P(SelectionProperty, ExtractFromPackedMatchesDirectPack) {
     EXPECT_EQ(std::memcmp(extracted.data(), direct.data(), extracted.size()), 0);
 }
 
+TEST_P(SelectionProperty, GatherScatterMatchesNaiveExtractThenScatter) {
+    // the fused merge against its oracle: a random multi-box piece (boxes
+    // shuffled, so its packed order is not file order) and a random
+    // multi-box destination; the sub-selection they share moves from the
+    // piece's packed buffer to the destination's in one pass
+    std::mt19937      rng(GetParam() + 3000);
+    const Extent      dims{6 + rng() % 20, 6 + rng() % 20};
+    const diy::Bounds domain =
+        box2(0, static_cast<std::int64_t>(dims[0]), 0, static_cast<std::int64_t>(dims[1]));
+    auto random_selection = [&](int depth) {
+        std::vector<diy::Bounds> parts;
+        random_partition(rng, domain, depth, parts);
+        std::shuffle(parts.begin(), parts.end(), rng);
+        Dataspace sp(dims);
+        sp.select_none();
+        for (const auto& b : parts)
+            if (rng() % 3) sp.add_box(b);
+        if (sp.npoints() == 0) sp.add_box(parts.front());
+        return sp;
+    };
+    const Dataspace piece = random_selection(3);
+    const Dataspace dest  = random_selection(2);
+
+    // what the serve side sends for an aliased reply: the shared part and
+    // where each of its boxes sits in the piece's packed buffer
+    const auto [sub, where] = intersect_located(piece, dest, dims);
+    if (sub.npoints() == 0) return;
+    std::uint64_t end = 0; // one past the last enclosing box's elements
+    for (const auto& w : where) end = std::max(end, w.offset + w.outer.size());
+
+    std::vector<std::uint32_t> full(dims[0] * dims[1]);
+    for (std::size_t i = 0; i < full.size(); ++i) full[i] = static_cast<std::uint32_t>(i * 7 + 3);
+    std::vector<std::uint32_t> piece_packed(piece.npoints());
+    pack_selection(piece, full.data(), 4, piece_packed.data());
+
+    // oracle: naive extract into a temporary, then naive scatter
+    std::vector<std::byte> sub_packed;
+    extract_from_packed_naive(piece, piece_packed.data(), sub, 4, sub_packed);
+    std::vector<std::uint32_t> want(dest.npoints(), 0xdeadbeefu);
+    scatter_into_packed_naive(dest, want.data(), sub, sub_packed.data(), 4);
+
+    const std::vector<SelRun> located = located_runs(sub, where, piece.npoints());
+    for (auto mode : {KernelMode::coalesced, KernelMode::vectorized}) {
+        set_selection_kernel_mode(mode);
+        // source runs from the reply header's form, and the piece's own
+        for (const auto* src_runs : {&located, &piece.runs_by_file()}) {
+            std::vector<std::uint32_t> got(dest.npoints(), 0xdeadbeefu);
+            gather_scatter(*src_runs, piece_packed.data(), sub, dest.runs_by_file(), got.data(), 4);
+            ASSERT_EQ(got, want) << kernel_mode_name(mode) << ", seed " << GetParam();
+        }
+    }
+    set_selection_kernel_mode(KernelMode::vectorized);
+
+    // a buffer one element shorter than the last enclosing box is refused
+    EXPECT_THROW(located_runs(sub, where, end - 1), Error);
+}
+
 TEST_P(SelectionProperty, IntersectionNpointsSymmetric) {
     std::mt19937 rng(GetParam() + 2000);
     Extent       dims{16, 16};
@@ -170,15 +229,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SelectionProperty, ::testing::Range(1u, 16u));
 
 // --- decomposer invariants ---------------------------------------------------------
 
+// all 64-bit so the struct has no padding: gtest names each case by the
+// parameter's raw bytes, and uninitialized padding bytes would change the
+// case's name from run to run
 struct DecompParam {
-    int          nblocks;
-    std::int64_t x, y, z;
+    std::int64_t nblocks, x, y, z;
 };
 
 class DecomposerProperty : public ::testing::TestWithParam<DecompParam> {};
 
 TEST_P(DecomposerProperty, BlocksTileTheDomainExactly) {
-    auto [n, x, y, z] = GetParam();
+    auto [nblocks, x, y, z] = GetParam();
+    const int   n = static_cast<int>(nblocks);
     diy::Bounds domain(3);
     domain.max = {x, y, z};
     diy::RegularDecomposer dec(domain, n);
@@ -380,10 +442,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IrregularRedistribution3d, ::testing::Range(1u, 
 namespace {
 
 /// One randomized workflow pass; returns every consumer's replies,
-/// concatenated in (consumer rank, query index) order.
+/// concatenated in (consumer rank, query index) order. A nonzero
+/// `zero_copy_min` sets the producers' zero-copy threshold and adds the
+/// pieces they served as aliased buffers to `*aliased`.
 template <class T, class ValueFn>
 std::vector<std::byte> run_differential(unsigned seed, workflow::Mode mode,
-                                        const h5::Datatype& type, ValueFn value_at) {
+                                        const h5::Datatype& type, ValueFn value_at,
+                                        std::uint64_t zero_copy_min = 0,
+                                        std::atomic<std::uint64_t>* aliased = nullptr) {
     std::mt19937 setup(seed * 2654435761u + 97);
 
     const Extent dims{6 + setup() % 18, 6 + setup() % 18};
@@ -405,6 +471,7 @@ std::vector<std::byte> run_differential(unsigned seed, workflow::Mode mode,
         {
             {"producer", nprod,
              [&](workflow::Context& ctx) {
+                 if (zero_copy_min) ctx.vol->set_zero_copy_min_bytes(zero_copy_min);
                  File f = File::create(fname, ctx.vol);
                  auto d = f.create_dataset("g", type, Dataspace(dims));
                  for (std::size_t i = 0; i < leaves.size(); ++i) {
@@ -421,6 +488,7 @@ std::vector<std::byte> run_differential(unsigned seed, workflow::Mode mode,
                      d.write(vals.data(), sel);
                  }
                  f.close();
+                 if (aliased) *aliased += ctx.vol->stats().n_zero_copy_pieces;
              }},
             {"consumer", ncons,
              [&](workflow::Context& ctx) {
@@ -465,6 +533,15 @@ void expect_modes_agree(unsigned seed, const h5::Datatype& type, ValueFn value_a
     ASSERT_EQ(mem.size(), file.size()) << "reply sizes diverged at seed " << seed;
     EXPECT_EQ(std::memcmp(mem.data(), file.data(), mem.size()), 0)
         << "memory-mode bytes differ from the file oracle at seed " << seed;
+
+    // once more with every piece a query touches served as an aliased
+    // buffer: the irregular multi-box queries want arbitrary parts of it
+    std::atomic<std::uint64_t> aliased{0};
+    auto zc = run_differential<T>(seed, workflow::Mode::in_situ(), type, value_at, 1, &aliased);
+    EXPECT_GT(aliased.load(), 0u) << "no piece took the aliased path at seed " << seed;
+    ASSERT_EQ(zc.size(), file.size()) << "aliased reply sizes diverged at seed " << seed;
+    EXPECT_EQ(std::memcmp(zc.data(), file.data(), zc.size()), 0)
+        << "aliased memory-mode bytes differ from the file oracle at seed " << seed;
 }
 
 // padding-free on purpose: the memory plane ships raw struct bytes while
