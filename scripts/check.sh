@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh            build + lint + ctest in ./build, then the
 #                               suite once more with the MPI-semantics
-#                               checker armed (L5_CHECK=1)
+#                               checker armed (L5_CHECK=1), then the
+#                               benchmark self-test (perfbench/selftest.py)
 #   scripts/check.sh --tsan     additionally configure a ThreadSanitizer
 #                               tree in ./build-tsan and run the
 #                               concurrency-sensitive tests under it
@@ -50,6 +51,12 @@ L5_CHECK=1 ctest --test-dir build --output-on-failure --no-tests=error --timeout
 # raised at the offending site and fails the test that reached it
 echo "== Race-checked suite (L5_RACE=1) =="
 L5_RACE=1 ctest --test-dir build --output-on-failure --no-tests=error --timeout 180 -j "$jobs" "$@"
+
+# the gated benchmark (BENCHMARK.json) builds l5perf against this tree's
+# src/ and runs every workload at tiny size, byte-verifying every read:
+# it must compile and stay correct on every library change
+echo "== Benchmark self-test (perfbench/selftest.py) =="
+python3 perfbench/selftest.py
 
 # deterministic-scheduler sweep: replay the hang-regression suite under a
 # handful of seeded schedules (both policies) — interleavings wall-clock

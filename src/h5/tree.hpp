@@ -28,12 +28,18 @@ struct DataPiece {
     Dataspace memspace;  ///< layout of the source buffer (used for Shallow)
     Ownership ownership = Ownership::Deep;
 
-    std::vector<std::byte> owned; ///< packed in filespace iteration order (Deep)
+    /// Packed in filespace iteration order (Deep). May be a recycled
+    /// buffer of a dead tree (lowfive::PiecePool), with capacity up to
+    /// twice its size; pack_selection overwrites every byte before the
+    /// piece exists, so no byte of the old tree survives.
+    std::vector<std::byte> owned;
     const void*            ref = nullptr; ///< user buffer (Shallow)
 
     /// The piece's full payload as a stable packed buffer, when one
     /// exists: Deep pieces own such a copy, valid as long as the piece
-    /// itself. Shallow pieces reference user memory with no vector to
+    /// itself (a recycled `owned` is fully rewritten before the piece is
+    /// recorded, and goes back to the pool only when the tree dies).
+    /// Shallow pieces reference user memory with no vector to
     /// share — returns nullptr. Layout: filespace iteration order, i.e.
     /// filespace's boxes in stored order, each row-major, box k starting
     /// at the total size of boxes 0..k-1. That is all a reader needs to

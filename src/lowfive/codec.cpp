@@ -472,6 +472,8 @@ std::size_t frame_raw_size(const std::byte* frame, std::size_t frame_size) {
 void decompress_frame(const std::byte* frame, std::size_t frame_size, std::byte* dst) {
     const Header     h       = parse_header(frame, frame_size);
     const std::byte* payload = frame + frame_header_bytes;
+    // nothing to write, and an empty destination's data() may be null
+    if (h.raw_size == 0) return;
 
     switch (h.method) {
         case Method::raw:

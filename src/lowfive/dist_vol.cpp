@@ -105,6 +105,9 @@ DistMetadataVol::DistMetadataVol(simmpi::Comm local, h5::VolPtr passthru_vol)
     l5race::forbid_edge("mvcc.read_section", "dist_vol.mutex",
                         "serve-lock-after-pin: the serve-side query path must stay "
                         "lock-free past the pin");
+    // no file exists yet: swap in a pool that reports to this registry
+    piece_pool_ = std::make_shared<PiecePool>(
+        PiecePool::Metrics{&c_recycled_pieces_, &c_bytes_recycled_, &g_piece_pool_bytes_});
 }
 
 void DistMetadataVol::set_compress(const std::string& file_pattern,
@@ -134,6 +137,9 @@ DistMetadataVol::Stats DistMetadataVol::stats() const {
     s.n_snapshots_live         = g_snapshots_live_.value();
     s.n_snapshot_pins          = c_snapshot_pins_.value();
     s.n_snapshot_gc            = c_snapshot_gc_.value();
+    s.n_recycled_pieces        = c_recycled_pieces_.value();
+    s.bytes_recycled           = c_bytes_recycled_.value();
+    s.piece_pool_bytes         = g_piece_pool_bytes_.value();
     return s;
 }
 

@@ -197,6 +197,10 @@ public:
         std::int64_t  n_snapshots_live = 0; ///< versions in the live set right now
         std::uint64_t n_snapshot_pins  = 0; ///< snapshot pins ever taken
         std::uint64_t n_snapshot_gc    = 0; ///< versions GC'd from the live set
+        // piece-buffer recycling (producer side; see PiecePool)
+        std::uint64_t n_recycled_pieces = 0; ///< Deep writes that reused a dead tree's buffer
+        std::uint64_t bytes_recycled    = 0; ///< bytes those writes packed
+        std::int64_t  piece_pool_bytes  = 0; ///< spare buffer capacity held right now
     };
     Stats stats() const;
 
@@ -416,6 +420,11 @@ private:
     obs::Gauge&     g_snapshots_live_ = metrics_.gauge("n_snapshots_live");
     obs::Counter&   c_snapshot_pins_  = metrics_.counter("n_snapshot_pins");
     obs::Counter&   c_snapshot_gc_    = metrics_.counter("n_snapshot_gc");
+    // piece-buffer recycling (updated by piece_pool_, which the
+    // constructor instruments with these)
+    obs::Counter&   c_recycled_pieces_  = metrics_.counter("n_recycled_pieces");
+    obs::Counter&   c_bytes_recycled_   = metrics_.counter("bytes_recycled");
+    obs::Gauge&     g_piece_pool_bytes_ = metrics_.gauge("piece_pool_bytes");
 
     // the MVCC snapshot index: every publish installs an immutable
     // versioned snapshot here; the serve-side query path pins and reads

@@ -2,7 +2,12 @@
 
 #include "stream/step.hpp"
 
+#include <check/race.hpp>
+#include <obs/metrics.hpp>
+
+#include <algorithm>
 #include <cstring>
+#include <new>
 
 namespace lowfive {
 
@@ -11,6 +16,79 @@ using h5::Datatype;
 using h5::Error;
 using h5::Object;
 using h5::ObjectKind;
+
+// --- piece pool ----------------------------------------------------------------
+
+namespace {
+
+/// Move the Deep piece buffers of `obj`'s subtree into `out`.
+void take_deep_buffers(Object& obj, std::vector<std::vector<std::byte>>& out) {
+    for (auto& piece : obj.pieces)
+        if (piece.ownership == h5::Ownership::Deep && piece.owned.capacity() > 0)
+            out.push_back(std::move(piece.owned));
+    for (auto& c : obj.children) take_deep_buffers(*c, out);
+}
+
+/// Deleter of the trees file_create makes: their Deep buffers go to the
+/// vol's pool while the vol lives, then the tree is freed.
+struct RecycleTree {
+    std::weak_ptr<PiecePool> pool;
+    void operator()(Object* tree) const {
+        const std::unique_ptr<Object> dying(tree);
+        if (auto p = pool.lock()) {
+            try {
+                p->harvest(*tree);
+            } catch (const std::bad_alloc&) {
+                // recycling is best effort: the buffers are freed instead
+            }
+        }
+    }
+};
+
+} // namespace
+
+std::vector<std::byte> PiecePool::take(std::size_t n) {
+    if (n == 0) return {};
+    // extracted under the lock, destroyed after it: no free while held
+    decltype(spares_)::node_type node;
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        l5race::LockHold rh(&mutex_, "piece_pool/take", "lowfive.piece_pool");
+        L5_SHARED_READ(this, "spares", "piece_pool/take");
+        auto it = spares_.lower_bound(n);
+        if (it == spares_.end() || it->first - n > n) return {}; // capacity > 2n
+        L5_SHARED_WRITE(this, "spares", "piece_pool/take");
+        node = spares_.extract(it);
+        held_ -= node.key();
+        if (metrics_.held) metrics_.held->set(static_cast<std::int64_t>(held_));
+    }
+    if (metrics_.recycled) metrics_.recycled->inc();
+    if (metrics_.bytes) metrics_.bytes->add(n);
+    return std::move(node.mapped());
+}
+
+void PiecePool::harvest(Object& tree) {
+    std::vector<std::vector<std::byte>> bufs;
+    take_deep_buffers(tree, bufs);
+    if (bufs.empty()) return;
+    std::size_t total = 0;
+    for (const auto& b : bufs) total += b.capacity();
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        l5race::LockHold rh(&mutex_, "piece_pool/harvest", "lowfive.piece_pool");
+        L5_SHARED_WRITE(this, "spares", "piece_pool/harvest");
+        bound_ = std::max(bound_, total);
+        for (auto& b : bufs)
+            if (const std::size_t cap = b.capacity(); held_ + cap <= bound_) {
+                spares_.emplace(cap, std::move(b));
+                held_ += cap;
+            }
+        if (metrics_.held) metrics_.held->set(static_cast<std::int64_t>(held_));
+    }
+    // spares past the bound, left in bufs, are freed here, unlocked
+}
+
+// --- vol -------------------------------------------------------------------------
 
 MetadataVol::MetadataVol(h5::VolPtr passthru_vol) : passthru_vol_(std::move(passthru_vol)) {}
 
@@ -66,7 +144,8 @@ void* MetadataVol::file_create(const std::string& name) {
     entry.memory   = matches_file(memory_, stream::base_name(name));
     entry.passthru = matches_file(passthru_, stream::base_name(name));
     entry.writable = true;
-    entry.root     = std::make_shared<Object>(ObjectKind::File, name);
+    entry.root     = std::shared_ptr<Object>(new Object(ObjectKind::File, name),
+                                             RecycleTree{piece_pool_});
     if (entry.passthru) entry.native = native().file_create(name);
 
     auto [it, _] = files_.insert_or_assign(name, std::move(entry));
@@ -198,8 +277,12 @@ void MetadataVol::dataset_write(void* dset, const Dataspace& memspace, const Dat
             piece.memspace  = memspace;
             piece.ref       = buf;
         } else {
-            piece.ownership = h5::Ownership::Deep;
-            piece.owned.resize(filespace.npoints() * h->node->type.size());
+            const std::size_t n = filespace.npoints() * h->node->type.size();
+            piece.ownership     = h5::Ownership::Deep;
+            // a dead tree's buffer when one fits, else a fresh one: either
+            // way pack_selection overwrites all n bytes
+            piece.owned = piece_pool_->take(n);
+            piece.owned.resize(n);
             pack_selection(memspace, buf, h->node->type.size(), piece.owned.data());
         }
         h->node->pieces.push_back(std::move(piece));

@@ -9,8 +9,62 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
+
+namespace obs {
+class Counter;
+class Gauge;
+} // namespace obs
 
 namespace lowfive {
+
+/// Spare Deep piece buffers, recycled from dead file trees into the next
+/// deep-copy write (DESIGN.md "Piece-buffer lifecycle"). A fresh
+/// multi-MiB piece is a new zero-filled mapping that one thread
+/// first-touches page by page; a spare is already mapped. Every tree
+/// MetadataVol::file_create makes hands its Deep buffers here when its
+/// last owner lets go of it — the FileEntry, an MVCC snapshot or pin, or
+/// an in-flight aliased payload — on whichever thread that happens.
+///
+/// Bounded with no knob: the list never holds more bytes (buffer
+/// capacity) than the largest Deep total of any one tree it harvested; a
+/// spare past that is freed instead. Shallow pieces own nothing and are
+/// never recycled. The lock is a leaf (l5race class "lowfive.piece_pool"):
+/// nothing under it takes another lock or frees a buffer.
+class PiecePool {
+public:
+    /// Optional externally owned instruments (a vol's metrics registry);
+    /// any may be null:
+    ///   n_recycled_pieces (counter) — Deep writes that reused a spare
+    ///   bytes_recycled    (counter) — the bytes those writes packed
+    ///   piece_pool_bytes  (gauge)   — spare capacity held right now
+    struct Metrics {
+        obs::Counter* recycled = nullptr;
+        obs::Counter* bytes    = nullptr;
+        obs::Gauge*   held     = nullptr;
+    };
+
+    PiecePool() = default;
+    explicit PiecePool(Metrics m) : metrics_(m) {}
+
+    /// The smallest spare whose capacity is in [n, 2n]; empty when none
+    /// fits. Its size and bytes are stale: the caller resizes it to n and
+    /// overwrites every byte.
+    std::vector<std::byte> take(std::size_t n);
+
+    /// Move every Deep piece buffer of a dying `tree` into the list, up to
+    /// the bound; the caller held its last reference and frees the rest.
+    void harvest(h5::Object& tree);
+
+private:
+    std::mutex mutex_;
+    /// capacity → spare; each keeps its old size, so resizing it to at
+    /// most that size zero-fills nothing
+    std::multimap<std::size_t, std::vector<std::byte>> spares_;
+    std::size_t held_  = 0; ///< total capacity in spares_
+    std::size_t bound_ = 0; ///< largest Deep capacity total of one harvested tree
+    Metrics     metrics_;
+};
 
 /// LowFive's metadata VOL (paper §III-A, levels (a) base and (b) metadata):
 /// intercepts every data-model call, replicates the user's HDF5 hierarchy
@@ -82,6 +136,8 @@ protected:
         /// version it published, so a rewrite or a streaming-window GC
         /// replacing/erasing the entry never frees a tree still being
         /// served. Frozen — never mutated — once the file is closed.
+        /// Trees made by file_create give their Deep buffers to
+        /// piece_pool_ when the last owner drops them.
         std::shared_ptr<h5::Object> root;
         bool                        memory   = false;
         bool                        passthru = false;
@@ -118,6 +174,11 @@ protected:
     std::vector<PatternPair> zerocopy_;
 
     std::map<std::string, FileEntry> files_;
+
+    /// Spare Deep buffers of this vol's dead trees; each tree's deleter
+    /// holds it weakly. Declared after files_ so it dies first: trees that
+    /// die with the vol are freed, not recycled.
+    std::shared_ptr<PiecePool> piece_pool_ = std::make_shared<PiecePool>();
 };
 
 } // namespace lowfive

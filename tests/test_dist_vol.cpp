@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <numeric>
 
@@ -464,4 +465,280 @@ TEST(DistVol, FileModeThroughPhysicalStorage) {
 
     EXPECT_TRUE(std::filesystem::exists(tmp));
     std::filesystem::remove(tmp);
+}
+
+// --- piece-buffer recycling -------------------------------------------------------
+//
+// A Deep write takes a dead tree's buffer when one fits [n, 2n] (PiecePool).
+// These tests rewrite files round after round and check that every
+// read still matches its own round byte for byte, that the recycling count
+// and the pool's size are exactly what the tree lifetimes predict, and that
+// Shallow pieces and buffers still aliased by a reader are never reused.
+
+namespace {
+
+constexpr std::uint64_t kPoolCols = 16; ///< grid columns
+constexpr std::uint64_t kPoolPad  = 3;  ///< junk columns on each side of a producer row
+constexpr std::uint64_t kRowBytes = kPoolCols * sizeof(std::uint64_t);
+
+diy::Bounds box2(std::uint64_t r0, std::uint64_t r1, std::uint64_t c0, std::uint64_t c1) {
+    diy::Bounds b(2);
+    b.min = {static_cast<std::int64_t>(r0), static_cast<std::int64_t>(c0)};
+    b.max = {static_cast<std::int64_t>(r1), static_cast<std::int64_t>(c1)};
+    return b;
+}
+
+/// Round r's value at grid cell (row, col): a byte left over from any
+/// other round reads wrong.
+std::uint64_t pool_value(std::uint64_t r, std::uint64_t row, std::uint64_t col) {
+    return (r + 1) * 1'000'003u + row * kPoolCols + col;
+}
+
+/// Producer side of round r: a (rows * ranks) x kPoolCols grid, each rank
+/// writing one x-slab of `rows` rows (one Deep piece) out of a padded
+/// buffer, so the memspace is strided. The world barrier before close
+/// lets consumers open only once this round's file exists, so a fast
+/// consumer never re-reads the previous round.
+void write_pool_round(Context& ctx, const std::string& fname, std::uint64_t r,
+                      std::uint64_t rows) {
+    const std::uint64_t nrows = rows * static_cast<std::uint64_t>(ctx.size());
+    const std::uint64_t row0  = rows * static_cast<std::uint64_t>(ctx.rank());
+    const std::uint64_t width = kPoolCols + 2 * kPoolPad;
+
+    File f = File::create(fname, ctx.vol);
+    auto d = f.create_dataset("grid", dt::uint64(), Dataspace({nrows, kPoolCols}));
+    std::vector<std::uint64_t> buf(rows * width, 0xdeadbeefdeadbeefULL);
+    for (std::uint64_t i = 0; i < rows; ++i)
+        for (std::uint64_t c = 0; c < kPoolCols; ++c)
+            buf[i * width + kPoolPad + c] = pool_value(r, row0 + i, c);
+    Dataspace mem({rows, width});
+    mem.select_box(box2(0, rows, kPoolPad, kPoolPad + kPoolCols));
+    Dataspace file({nrows, kPoolCols});
+    file.select_box(box2(row0, row0 + rows, 0, kPoolCols));
+    d.write(buf.data(), mem, file);
+    ctx.world.barrier();
+    f.close();
+}
+
+/// Consumer side of round r: read this rank's column slab across every
+/// row (crossing the producers' x-slabs) and check each value.
+void read_pool_round(Context& ctx, const std::string& fname, std::uint64_t r,
+                     std::uint64_t nrows) {
+    ctx.world.barrier();
+    File f = File::open(fname, ctx.vol);
+    auto d = f.open_dataset("grid");
+    ASSERT_EQ(d.space().dims(), (Extent{nrows, kPoolCols})) << "round " << r;
+    const auto c0 = kPoolCols * static_cast<std::uint64_t>(ctx.rank())
+                    / static_cast<std::uint64_t>(ctx.size());
+    const auto c1 = kPoolCols * static_cast<std::uint64_t>(ctx.rank() + 1)
+                    / static_cast<std::uint64_t>(ctx.size());
+    Dataspace sel({nrows, kPoolCols});
+    sel.select_box(box2(0, nrows, c0, c1));
+    auto        vals = d.read_vector<std::uint64_t>(sel);
+    std::size_t k    = 0;
+    for (std::uint64_t i = 0; i < nrows; ++i)
+        for (std::uint64_t c = c0; c < c1; ++c, ++k)
+            ASSERT_EQ(vals[k], pool_value(r, i, c)) << "round " << r << " at (" << i << "," << c << ")";
+    f.close();
+}
+
+Options pool_options(bool background) {
+    return Options{.mode             = workflow::Mode::in_situ(),
+                   .zerocopy         = {},
+                   .serve_on_close   = true,
+                   .background_serve = background,
+                   .runtime          = {}};
+}
+
+} // namespace
+
+TEST(DistVolPiecePool, RewriteRoundsReuseBuffersByteForByte) {
+    // Sync serve: tree r-1 dies while round r is served (the consumers'
+    // round-r Dones release its pins), so round r+1 may take its buffer.
+    // Rows per producer rank, and what each round's write finds:
+    //   r0 16 fresh   r1 16 fresh (tree 0 is still pinned)
+    //   r2 12 takes tree 0's 16 (capacity above n)
+    //   r3 14 takes tree 1's 16
+    //   r4  5 fresh: 16 > 2*5; tree 3's 16 is past the bound and freed
+    //   r5 16 takes tree 2's buffer (size 12: the resize zero-fills 4 rows)
+    //   r6  8 fresh: the only spare is tree 4's 5
+    const std::vector<std::uint64_t> rows{16, 16, 12, 14, 5, 16, 8};
+    const std::vector<std::uint64_t> held{0, 16, 16, 16, 16, 5, 5}; // spare rows after close
+    constexpr int                    nprod = 2;
+    workflow::run(
+        {
+            {"producer", nprod,
+             [&](Context& ctx) {
+                 ctx.vol->set_zero_copy_min_bytes(1); // crossing reads alias the pieces
+                 for (std::size_t r = 0; r < rows.size(); ++r) {
+                     write_pool_round(ctx, "pool_rw.h5", r, rows[r]);
+                     EXPECT_EQ(ctx.vol->stats().piece_pool_bytes,
+                               static_cast<std::int64_t>(held[r] * kRowBytes))
+                         << "round " << r;
+                 }
+                 const auto s = ctx.vol->stats();
+                 EXPECT_EQ(s.n_recycled_pieces, 3u);
+                 EXPECT_EQ(s.bytes_recycled, (12u + 14u + 16u) * kRowBytes);
+                 EXPECT_GT(s.n_zero_copy_pieces, 0u);
+             }},
+            {"consumer", 3,
+             [&](Context& ctx) {
+                 for (std::size_t r = 0; r < rows.size(); ++r)
+                     read_pool_round(ctx, "pool_rw.h5", r, rows[r] * nprod);
+             }},
+        },
+        {Link{0, 1, "*"}}, pool_options(false));
+}
+
+TEST(DistVolPiecePool, PoolStaysWithinTheLargestTree) {
+    // two files rewritten in turn: trees of 16 and 12 rows die into one
+    // pool, which would hold 28 rows without its bound — it never holds
+    // more than the largest tree's 16
+    const std::vector<std::pair<std::string, std::uint64_t>> files{{"pool_a.h5", 16},
+                                                                   {"pool_b.h5", 12}};
+    const std::int64_t bound  = static_cast<std::int64_t>(16 * kRowBytes);
+    const std::uint64_t rounds = 5;
+    workflow::run(
+        {
+            {"producer", 2,
+             [&](Context& ctx) {
+                 std::int64_t peak = 0;
+                 for (std::uint64_t r = 0; r < rounds; ++r)
+                     for (const auto& [fname, rows] : files) {
+                         write_pool_round(ctx, fname, r, rows);
+                         const auto s = ctx.vol->stats();
+                         EXPECT_LE(s.piece_pool_bytes, bound) << fname << " round " << r;
+                         peak = std::max(peak, s.piece_pool_bytes);
+                     }
+                 EXPECT_EQ(peak, bound);
+                 EXPECT_GT(ctx.vol->stats().n_recycled_pieces, 0u);
+             }},
+            {"consumer", 2,
+             [&](Context& ctx) {
+                 for (std::uint64_t r = 0; r < rounds; ++r)
+                     for (const auto& [fname, rows] : files) read_pool_round(ctx, fname, r, rows * 2);
+             }},
+        },
+        {Link{0, 1, "*"}}, pool_options(false));
+}
+
+TEST(DistVolPiecePool, ShallowPiecesAreNeverRecycled) {
+    // each round writes one Deep and one Shallow (set_zerocopy) piece of
+    // the same size: only the Deep ones are recycled (rounds 2 and 3),
+    // and no user buffer behind a Shallow piece is ever written
+    constexpr std::uint64_t n = 256, rounds = 4;
+    std::vector<std::vector<std::uint64_t>> user(rounds), copies(rounds);
+    workflow::run(
+        {
+            {"producer", 1,
+             [&](Context& ctx) {
+                 ctx.vol->set_zerocopy("*", "/shallow");
+                 for (std::uint64_t r = 0; r < rounds; ++r) {
+                     std::vector<std::uint64_t> deep(n);
+                     user[r].resize(n);
+                     for (std::uint64_t i = 0; i < n; ++i) {
+                         deep[i]    = pool_value(r, 0, i);
+                         user[r][i] = pool_value(r, 1, i);
+                     }
+                     copies[r] = user[r];
+                     File f    = File::create("pool_shallow.h5", ctx.vol);
+                     f.create_dataset("deep", dt::uint64(), Dataspace({n})).write(deep.data());
+                     f.create_dataset("shallow", dt::uint64(), Dataspace({n})).write(user[r].data());
+                     ctx.world.barrier();
+                     f.close();
+                 }
+                 const auto s = ctx.vol->stats();
+                 EXPECT_EQ(s.n_recycled_pieces, 2u);
+                 EXPECT_EQ(s.bytes_recycled, 2 * n * sizeof(std::uint64_t));
+                 EXPECT_EQ(s.piece_pool_bytes, static_cast<std::int64_t>(n * sizeof(std::uint64_t)));
+                 for (std::uint64_t r = 0; r < rounds; ++r)
+                     EXPECT_EQ(user[r], copies[r]) << "user buffer of round " << r << " was written";
+             }},
+            {"consumer", 2,
+             [&](Context& ctx) {
+                 for (std::uint64_t r = 0; r < rounds; ++r) {
+                     ctx.world.barrier();
+                     File f    = File::open("pool_shallow.h5", ctx.vol);
+                     auto deep = f.open_dataset("deep").read_vector<std::uint64_t>();
+                     auto shal = f.open_dataset("shallow").read_vector<std::uint64_t>();
+                     for (std::uint64_t i = 0; i < n; ++i) {
+                         ASSERT_EQ(deep[i], pool_value(r, 0, i)) << "round " << r;
+                         ASSERT_EQ(shal[i], pool_value(r, 1, i)) << "round " << r;
+                     }
+                     f.close();
+                 }
+             }},
+        },
+        {Link{0, 1, "*"}}, pool_options(false));
+}
+
+TEST(DistVolPiecePool, ConsumerThreadHarvestFeedsTheNextWrite) {
+    // Background serve, crossing aliased reads, rewrites. A consumer drops
+    // its reply payloads before its Done, so in a plain read the serve
+    // thread drops a tree last. Here each producer rank also hands the
+    // consumer of the same rank an aliased payload of its round-r piece,
+    // built the way the serve path builds one (the bytes, owned by the
+    // snapshot), and the consumer keeps it past round r+1's serve. Then:
+    //   - the payload still reads round r, while round r+1 was written;
+    //   - dropping it on the consumer thread is the tree's last owner
+    //     letting go: the producer's pool grows between the two barriers
+    //     around that drop, while the producer thread waits in one;
+    //   - round r+2's write takes that buffer.
+    constexpr std::uint64_t rows = 16, rounds = 5;
+    constexpr int           tag  = 51;
+    constexpr int           n    = 2; // producer ranks = consumer ranks
+    const std::int64_t      piece = static_cast<std::int64_t>(rows * kRowBytes);
+    workflow::run(
+        {
+            {"producer", n,
+             [&](Context& ctx) {
+                 ctx.vol->set_zero_copy_min_bytes(1);
+                 for (std::uint64_t r = 0; r < rounds; ++r) {
+                     write_pool_round(ctx, "pool_bg.h5", r, rows);
+                     if (r + 1 < rounds) {
+                         // round pins hold v_r until the consumers' round
+                         // r+1 Dones: the payload is taken while it is live
+                         auto pin = ctx.vol->snapshot_store().pin("pool_bg.h5");
+                         ASSERT_TRUE(pin);
+                         const auto* packed = pin->root()->resolve("grid")->pieces.at(0).packed_bytes();
+                         ASSERT_NE(packed, nullptr);
+                         ctx.world.send_shared(n + ctx.rank(), tag,
+                                               simmpi::SharedPayload(pin.shared(), packed));
+                     }
+                     ctx.vol->serve_all(); // every round-r Done is in: v_{r-1} is unpinned
+                     if (r >= 1) {
+                         EXPECT_EQ(ctx.vol->stats().piece_pool_bytes, 0) << "round " << r;
+                     }
+                     ctx.world.barrier(); // the consumer drops the round r-1 payload ...
+                     ctx.world.barrier(); // ... and its tree is in the pool
+                     if (r >= 1) {
+                         EXPECT_EQ(ctx.vol->stats().piece_pool_bytes, piece) << "round " << r;
+                     }
+                 }
+                 EXPECT_EQ(ctx.vol->stats().n_recycled_pieces, rounds - 2);
+             }},
+            {"consumer", n,
+             [&](Context& ctx) {
+                 simmpi::SharedPayload held;
+                 for (std::uint64_t r = 0; r < rounds; ++r) {
+                     read_pool_round(ctx, "pool_bg.h5", r, rows * n);
+                     ctx.world.barrier();
+                     if (held) {
+                         // the superseded round, byte for byte
+                         const auto row0 = rows * static_cast<std::uint64_t>(ctx.rank());
+                         std::vector<std::uint64_t> want(rows * kPoolCols);
+                         for (std::uint64_t i = 0; i < rows; ++i)
+                             for (std::uint64_t c = 0; c < kPoolCols; ++c)
+                                 want[i * kPoolCols + c] = pool_value(r - 1, row0 + i, c);
+                         std::vector<std::uint64_t> got(held->size() / sizeof(std::uint64_t));
+                         std::memcpy(got.data(), held->data(), got.size() * sizeof(std::uint64_t));
+                         EXPECT_EQ(got, want) << "payload of round " << r - 1;
+                         held.reset(); // last owner: the tree is harvested here
+                     }
+                     ctx.world.barrier();
+                     if (r + 1 < rounds) ctx.world.recv_shared(ctx.rank(), tag, held);
+                 }
+             }},
+        },
+        {Link{0, 1, "*"}}, pool_options(true));
 }

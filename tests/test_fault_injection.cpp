@@ -277,7 +277,7 @@ TEST(FaultInjection, WorldDefaultDeadlineFromOptions) {
                     std::vector<std::byte> out;
                     c.recv(0, 11, out);
                 },
-                Runtime::RunOptions{.faults = std::nullopt, .default_timeout_ms = 50, .sched = {}, .check = {}});
+                Runtime::RunOptions{.faults = std::nullopt, .default_timeout_ms = 50, .sched = {}, .check = {}, .race = {}});
             FAIL() << "expected RankFailure";
         } catch (const RankFailure& rf) {
             EXPECT_THROW(std::rethrow_exception(rf.cause()), TimeoutError);
@@ -341,7 +341,7 @@ std::string killed_pingpong_message() {
                     }
                 }
             },
-            Runtime::RunOptions{.faults = plan, .default_timeout_ms = -1, .sched = {}, .check = {}});
+            Runtime::RunOptions{.faults = plan, .default_timeout_ms = -1, .sched = {}, .check = {}, .race = {}});
     } catch (const RankFailure& rf) {
         try {
             std::rethrow_exception(rf.cause());

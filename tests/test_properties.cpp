@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
+#include <span>
 
 using namespace h5;
 
@@ -472,22 +473,46 @@ std::vector<std::byte> run_differential(unsigned seed, workflow::Mode mode,
             {"producer", nprod,
              [&](workflow::Context& ctx) {
                  if (zero_copy_min) ctx.vol->set_zero_copy_min_bytes(zero_copy_min);
-                 File f = File::create(fname, ctx.vol);
-                 auto d = f.create_dataset("g", type, Dataspace(dims));
-                 for (std::size_t i = 0; i < leaves.size(); ++i) {
-                     if (static_cast<int>(i % static_cast<std::size_t>(nprod)) != ctx.rank())
-                         continue;
-                     const auto& leaf = leaves[i];
-                     Dataspace   sel(dims);
-                     sel.select_box(leaf);
-                     std::vector<T> vals(leaf.size());
-                     std::size_t    k = 0;
-                     for (auto x = leaf.min[0]; x < leaf.max[0]; ++x)
-                         for (auto y = leaf.min[1]; y < leaf.max[1]; ++y)
-                             vals[k++] = value_at(x, y);
-                     d.write(vals.data(), sel);
+                 // this rank's leaves; `flip` inverts every byte. Returns
+                 // the number of pieces written
+                 auto write_leaves = [&](const auto& d, bool flip) {
+                     std::uint64_t pieces = 0;
+                     for (std::size_t i = 0; i < leaves.size(); ++i) {
+                         if (static_cast<int>(i % static_cast<std::size_t>(nprod)) != ctx.rank())
+                             continue;
+                         const auto& leaf = leaves[i];
+                         Dataspace   sel(dims);
+                         sel.select_box(leaf);
+                         std::vector<T> vals(leaf.size());
+                         std::size_t    k = 0;
+                         for (auto x = leaf.min[0]; x < leaf.max[0]; ++x)
+                             for (auto y = leaf.min[1]; y < leaf.max[1]; ++y)
+                                 vals[k++] = value_at(x, y);
+                         if (flip)
+                             for (auto& b : std::span(reinterpret_cast<std::byte*>(vals.data()),
+                                                      vals.size() * sizeof(T)))
+                                 b = ~b;
+                         d.write(vals.data(), sel);
+                         ++pieces;
+                     }
+                     return pieces;
+                 };
+                 if (mode.memory) {
+                     // write the file once with other values and drop it:
+                     // the compared write below packs into the recycled
+                     // buffers of that dead tree
+                     File f = File::create(fname, ctx.vol);
+                     write_leaves(f.create_dataset("g", type, Dataspace(dims)), true);
+                     f.close();
+                     ctx.vol->drop_file(fname);
+                     ctx.world.barrier();
                  }
+                 File       f      = File::create(fname, ctx.vol);
+                 const auto pieces = write_leaves(f.create_dataset("g", type, Dataspace(dims)), false);
                  f.close();
+                 if (mode.memory) {
+                     EXPECT_EQ(ctx.vol->stats().n_recycled_pieces, pieces);
+                 }
                  if (aliased) *aliased += ctx.vol->stats().n_zero_copy_pieces;
              }},
             {"consumer", ncons,
@@ -495,6 +520,12 @@ std::vector<std::byte> run_differential(unsigned seed, workflow::Mode mode,
                  // query stream depends only on (seed, rank): both modes
                  // replay the identical selections
                  std::mt19937 rng(seed * 131071u + static_cast<unsigned>(ctx.rank()));
+                 if (mode.memory) {
+                     // the producers' first write: closed unread, and no
+                     // open of the compared file before they dropped it
+                     File::open(fname, ctx.vol).close();
+                     ctx.world.barrier();
+                 }
                  File         f = File::open(fname, ctx.vol);
                  auto         d = f.open_dataset("g");
                  auto&        mine = got[static_cast<std::size_t>(ctx.rank())];
