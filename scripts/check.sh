@@ -98,6 +98,16 @@ L5_DATA_THREADS=3 L5_PAR_THRESHOLD=1024 \
     -- ./build/tests/test_mvcc --gtest_brief=1
 ./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
     -- ./build/tests/test_mvcc --gtest_brief=1
+# serve-engine sweep: every producer answers requests on its serve
+# thread, so a sync close, serve_all and drop_file each wait on that
+# thread (and sync opens are parked until a close waits) — both serving
+# modes must stay hang-free and byte-correct under seeded schedules
+for t in test_async_serve test_query_pipeline; do
+    ./build/tools/mh5sched --seeds 1:5 --timeout 120 --jobs "$jobs" --check --race \
+        -- "./build/tests/$t" --gtest_brief=1
+    ./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
+        -- "./build/tests/$t" --gtest_brief=1
+done
 
 if [[ $tsan -eq 1 ]]; then
     echo "== ThreadSanitizer tree (build-tsan) =="

@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace h5 {
@@ -188,11 +189,10 @@ public:
         return File(std::move(vol), h);
     }
 
+    /// A close that throws has still consumed the handle: it is never
+    /// handed to the VOL again, not even by the destructor.
     void close() {
-        if (h_) {
-            vol_->file_close(h_);
-            h_ = nullptr;
-        }
+        if (h_) vol_->file_close(std::exchange(h_, nullptr));
     }
 
     /// Persist current contents without closing (H5Fflush).

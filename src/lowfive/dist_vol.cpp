@@ -23,16 +23,16 @@ using h5::Error;
 using h5::Object;
 using h5::ObjectKind;
 
-/// Serve-state guard: a plain recursive lock normally; under a
-/// deterministic scheduler, contention becomes a scheduling point so a
-/// descheduled holder (the background serve thread at one of its send
-/// yield points) can be run to release it. Every acquisition first feeds
-/// the serve-lock-after-pin lint: under L5_CHECK, constructing a Guard
-/// inside a pinned snapshot read section is a CheckError — the query hot
-/// path must never block on publish/teardown control state.
-class Guard : public simmpi::detail::CoopLock<std::recursive_mutex> {
+/// Serve-state guard: a plain lock normally; under a deterministic
+/// scheduler, contention becomes a scheduling point so a descheduled
+/// holder (the serve thread at one of its send yield points) can be run
+/// to release it. Every acquisition first feeds the serve-lock-after-pin
+/// lint: under L5_CHECK, constructing a Guard inside a pinned snapshot
+/// read section is a CheckError — the query hot path must never block on
+/// publish/teardown control state.
+class Guard : public simmpi::detail::CoopLock<std::mutex> {
 public:
-    Guard(simmpi::detail::Scheduler* s, std::recursive_mutex& m, const char* site)
+    Guard(simmpi::detail::Scheduler* s, std::mutex& m, const char* site)
         : CoopLock((mvcc::note_serve_lock(site), s), m, site) {}
 };
 
@@ -163,15 +163,22 @@ void DistMetadataVol::notify_dones() {
     if (auto* s = local_.scheduler()) s->notify(&dones_cv_);
 }
 
-void DistMetadataVol::background_loop() {
-    // any exception — a world abort unblocking the probe, a deadline, a
-    // malformed request — must not escape the thread (std::terminate) or
-    // strand waiters on dones_cv_: record it and wake everyone instead
+void DistMetadataVol::serve_loop() {
+    // any exception — a world abort unblocking the probe, a malformed
+    // request — must not escape the thread (std::terminate) or strand
+    // waiters on dones_cv_: record it and wake everyone instead
     try {
+        // waiting for the next request is idling, not a stall: the probe
+        // runs with no deadline, so a producer that computes past the
+        // world deadline keeps its server. A consumer that stalls
+        // mid-round is caught by the owed waits (wait_owed_locked).
+        std::vector<simmpi::Comm> idle;
+        idle.reserve(serve_conns_.size() + 1);
+        for (const auto& c : serve_conns_) idle.push_back(c.ic.with_deadline(0));
+        idle.push_back(local_.with_deadline(0)); // self-sends: shutdown and replay nudges
         std::vector<const simmpi::Comm*> comms;
-        comms.reserve(serve_conns_.size() + 1);
-        for (const auto& c : serve_conns_) comms.push_back(&c.ic);
-        comms.push_back(&local_); // self-send on tag rpc_request = shutdown
+        comms.reserve(idle.size());
+        for (const auto& c : idle) comms.push_back(&c);
 
         for (;;) {
             std::size_t which = 0;
@@ -192,7 +199,6 @@ void DistMetadataVol::background_loop() {
                 }
                 for (auto& d : pending)
                     handle_request(serve_conns_[d.conn], d.src, std::move(d.payload));
-                notify_dones();
                 continue;
             }
             auto& conn = serve_conns_[which];
@@ -200,7 +206,6 @@ void DistMetadataVol::background_loop() {
             // no lock here: handle_request pins a snapshot for the query
             // ops and takes the Guard itself only for control ops
             handle_request(conn, st.source, std::move(bb).take());
-            notify_dones();
         }
     } catch (...) {
         {
@@ -224,53 +229,38 @@ void DistMetadataVol::check_pin_leaks() {
 }
 
 void DistMetadataVol::finish_serving() {
-    if (!serve_thread_.joinable()) {
-        // sync mode: every round was served to completion inside close,
-        // so the trailing round pins (kept for possible reopens of the
-        // last version) can go now
-        {
-            Guard lock(local_.scheduler(), mutex_, "finish_serving/clear_pins");
-            L5_SHARED_WRITE(this, "round_pins_", "finish_serving/clear_pins");
-            round_pins_.clear();
-        }
-        check_pin_leaks();
-        return;
-    }
     auto*              sched = local_.scheduler();
     std::exception_ptr err;
     try {
         Guard lock(sched, mutex_, "finish_serving");
-        simmpi::detail::coop_wait(sched, dones_cv_, lock, "finish_serving/dones", [&] {
-            L5_SHARED_READ(this, "dones_", "finish_serving/dones");
-            L5_SHARED_READ(this, "streams_", "finish_serving/dones");
-            return rounds_done_locked();
-        });
-        L5_SHARED_READ(this, "serve_error_", "finish_serving/dones");
-        err = serve_error_;
+        wait_owed_locked(lock, "finish_serving/dones", /*streams=*/true);
     } catch (...) {
-        // deadline / deadlock / abort surfaced at the wait itself: the
-        // serve thread must still be woken and joined below, or the
-        // std::thread member is destroyed joinable (std::terminate)
+        // a dead serve thread, deadline, deadlock or abort surfaced at
+        // the wait: the serve thread must still be stopped and joined
+        // below, or the std::thread member is destroyed joinable
+        // (std::terminate)
         err = std::current_exception();
     }
-    bool serve_died;
-    {
-        Guard lock(sched, mutex_, "finish_serving/check_error");
-        L5_SHARED_READ(this, "serve_error_", "finish_serving/check_error");
-        serve_died = serve_error_ != nullptr;
-    }
-    if (!serve_died) {
-        try {
-            local_.send(local_.rank(), rpc_request, nullptr, 0); // shutdown signal
-        } catch (...) {
-            // the send can only fail when the world was aborted under us;
-            // the same poison has already woken the serve thread
-            if (!err) err = std::current_exception();
+    if (serve_thread_.joinable()) {
+        bool serve_died;
+        {
+            Guard lock(sched, mutex_, "finish_serving/check_error");
+            L5_SHARED_READ(this, "serve_error_", "finish_serving/check_error");
+            serve_died = serve_error_ != nullptr;
         }
+        if (!serve_died) {
+            try {
+                local_.send(local_.rank(), rpc_request, nullptr, 0); // shutdown signal
+            } catch (...) {
+                // the send can only fail when the world was aborted under
+                // us; the same poison has already woken the serve thread
+                if (!err) err = std::current_exception();
+            }
+        }
+        // under a deterministic scheduler the joiner steps away so the
+        // serve thread can be scheduled to process the shutdown and exit
+        simmpi::detail::coop_join(sched, serve_thread_);
     }
-    // under a deterministic scheduler the joiner steps away so the serve
-    // thread can be scheduled to process the shutdown and exit
-    simmpi::detail::coop_join(sched, serve_thread_);
     if (err) {
         {
             Guard lock(sched, mutex_, "finish_serving/clear_error");
@@ -280,8 +270,9 @@ void DistMetadataVol::finish_serving() {
         std::rethrow_exception(err);
     }
     {
-        // every round completed (the dones wait above): no in-flight
-        // reader is left, so the trailing round pins can go
+        // every round completed (the dones wait above), or with no serve
+        // thread none can: no in-flight reader is left, so the trailing
+        // round pins can go
         Guard lock(sched, mutex_, "finish_serving/clear_pins");
         L5_SHARED_WRITE(this, "round_pins_", "finish_serving/clear_pins");
         round_pins_.clear();
@@ -297,26 +288,24 @@ void* DistMetadataVol::file_create(const std::string& name) {
 void DistMetadataVol::file_close(void* file) {
     Guard lock(local_.scheduler(), mutex_, "file_close");
     // closing a writable step snapshot publishes it: run the window
-    // admission (and any block-policy backpressure wait) up front, while
-    // mutex_ is held exactly once — the wait must release it fully so
-    // the serve thread can process releases that free a slot
+    // admission (and any block-policy backpressure wait) up front — the
+    // wait releases the lock so the serve thread can process releases
+    // that free a slot
     if (HandleBox* h = box(file); h->file && h->file->writable && !h->file->remote)
         if (auto split = stream::split_step_name(h->file->name)) stream_admit(lock, split->first);
     MetadataVol::file_close(file);
+    // sync serving (the paper's synchronization through file close): a
+    // close that published a round returns once every consumer rank is
+    // done with it; the serve thread answers the round meanwhile
+    L5_SHARED_READ(this, "background_", "file_close");
+    if (!background_) wait_owed_locked(lock, "file_close/dones", /*streams=*/false);
 }
 
 void DistMetadataVol::drop_file(const std::string& name) {
-    auto* sched = local_.scheduler();
-    Guard lock(sched, mutex_, "drop_file");
-    // never drop a file the background server may still be serving
-    // (conservative: waits for every outstanding round; a dead server
-    // cannot serve anything, so its error also ends the wait)
-    if (serve_thread_.joinable())
-        simmpi::detail::coop_wait(sched, dones_cv_, lock, "drop_file/dones", [&] {
-            L5_SHARED_READ(this, "serve_error_", "drop_file/dones");
-            L5_SHARED_READ(this, "dones_", "drop_file/dones");
-            return serve_error_ || dones_received_ >= dones_expected_;
-        });
+    Guard lock(local_.scheduler(), mutex_, "drop_file");
+    // never drop a file the serve thread may still be serving
+    // (conservative: waits for every outstanding round)
+    wait_owed_locked(lock, "drop_file/dones", /*streams=*/false);
     // every round is done (the wait above): this file's round pins can
     // go, and its snapshot line is retired — the current version is
     // superseded and GC'd as soon as the last pin drops
@@ -402,49 +391,35 @@ void DistMetadataVol::index_file(FileEntry& entry) {
 // --- producer: serve (Algorithm 2) --------------------------------------------
 
 void DistMetadataVol::serve_all() {
-    auto* sched = local_.scheduler();
-    Guard lock(sched, mutex_, "serve_all");
-    if (serve_thread_.joinable()) {
-        // background mode: just wait for the server to drain the rounds
-        simmpi::detail::coop_wait(sched, dones_cv_, lock, "serve_all/dones", [&] {
-            L5_SHARED_READ(this, "dones_", "serve_all/dones");
-            L5_SHARED_READ(this, "streams_", "serve_all/dones");
-            return rounds_done_locked();
+    Guard lock(local_.scheduler(), mutex_, "serve_all");
+    wait_owed_locked(lock, "serve_all/dones", /*streams=*/true);
+}
+
+void DistMetadataVol::wait_owed_locked(simmpi::detail::CoopLock<std::mutex>& lock,
+                                       const char* site, bool streams) {
+    const std::int64_t ms = local_.effective_deadline_ms();
+    const bool         ok = simmpi::detail::coop_wait_deadline(
+        local_.scheduler(), dones_cv_, lock, site, ms, [&] {
+            L5_SHARED_READ(this, "serve_error_", site);
+            L5_SHARED_READ(this, "dones_", site);
+            if (streams) L5_SHARED_READ(this, "streams_", site);
+            // no serve thread (none spawned yet, or a dead one already
+            // joined): nothing can arrive, so nothing is owed
+            return serve_error_ || !serve_thread_.joinable()
+                   || (dones_received_ >= dones_expected_
+                       && (!streams || streams_drained_locked()));
         });
-        L5_SHARED_READ(this, "serve_error_", "serve_all/dones");
-        if (serve_error_) std::rethrow_exception(serve_error_);
-        return;
+    if (!ok && !serve_error_) {
+        // a consumer stalled mid-round: serving has failed as surely as
+        // if the serve thread had died, so record it that way and stop
+        // the thread — teardown then fails at once instead of waiting
+        // out the deadline a second time
+        L5_SHARED_WRITE(this, "serve_error_", site);
+        serve_error_ = std::make_exception_ptr(simmpi::TimeoutError(ms, site, -1, -1));
+        if (serve_thread_.joinable())
+            local_.send(local_.rank(), rpc_request, nullptr, 0); // shutdown signal
     }
-    serve_until(dones_expected_);
-}
-
-void DistMetadataVol::serve_until(std::uint64_t target) {
-    std::vector<const simmpi::Comm*> comms;
-    comms.reserve(serve_conns_.size());
-    for (const auto& c : serve_conns_) comms.push_back(&c.ic);
-
-    L5_SHARED_READ(this, "dones_", "serve_until");
-    while (dones_received_ < target) {
-        // block (no spinning) until a request arrives on any connection
-        std::size_t which = 0;
-        auto st = simmpi::Comm::probe_any(comms, simmpi::any_source, rpc_request, &which);
-        auto& conn = serve_conns_[which];
-        auto  bb   = recv_buffer(conn.ic, st.source, rpc_request);
-        handle_request(conn, st.source, std::move(bb).take());
-    }
-}
-
-bool DistMetadataVol::poll_requests() {
-    for (std::size_t c = 0; c < serve_conns_.size(); ++c) {
-        auto& conn = serve_conns_[c];
-        if (conn.ic.iprobe(simmpi::any_source, rpc_request)) {
-            int  src = -1;
-            auto bb  = recv_buffer(conn.ic, simmpi::any_source, rpc_request, &src);
-            handle_request(conn, src, std::move(bb).take());
-            return true;
-        }
-    }
-    return false;
+    if (serve_error_) std::rethrow_exception(serve_error_);
 }
 
 void DistMetadataVol::handle_request(Conn& conn, int src, std::vector<std::byte>&& payload) {
@@ -461,10 +436,10 @@ void DistMetadataVol::handle_request(Conn& conn, int src, std::vector<std::byte>
         handle_read_request(conn, src, std::move(bb), op);
         break;
     default:
-        // control path: mutates publish/teardown state under mutex_
-        // (recursive, so the synchronous serve paths that already hold it
-        // re-enter freely)
+        // control path: mutates publish/teardown state under mutex_,
+        // which the owed waits watch
         handle_control_request(conn, src, std::move(bb), op);
+        notify_dones();
         break;
     }
 }
@@ -689,7 +664,13 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         bb.load(name);
         auto it   = files_.find(name);
         auto snap = snapshots_.pin(name);
-        if (it == files_.end() || !it->second.root || it->second.writable || !snap) {
+        // sync serving answers an open only while a close waits on its
+        // round, so the open pairs with that close and never reads the
+        // round before it
+        L5_SHARED_READ(this, "background_", "serve/metadata");
+        L5_SHARED_READ(this, "dones_", "serve/metadata");
+        const bool closing = background_ || dones_received_ < dones_expected_;
+        if (it == files_.end() || !it->second.root || it->second.writable || !snap || !closing) {
             // consumer ran ahead of the producer: retry after next close
             diy::BinaryBuffer orig;
             orig.save(static_cast<std::uint8_t>(Op::MetadataQuery));
@@ -814,28 +795,17 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
     }
 }
 
-void DistMetadataVol::retry_deferred() {
-    L5_SHARED_WRITE(this, "deferred_", "retry_deferred");
-    auto pending = std::move(deferred_);
-    deferred_.clear();
-    for (auto& d : pending)
-        handle_request(serve_conns_[d.conn], d.src, std::move(d.payload));
-}
-
 void DistMetadataVol::schedule_deferred_retry_locked() {
     L5_SHARED_READ(this, "deferred_", "schedule_deferred_retry");
     if (deferred_.empty()) return;
     L5_SHARED_READ(this, "serve_error_", "schedule_deferred_retry");
-    if (serve_thread_.joinable() && !serve_error_) {
-        // a live background server owns request handling: hand it the
-        // replay via a one-byte self-send (the empty payload remains the
-        // shutdown signal). The per-(source, tag) FIFO guarantee means
-        // every nudge is consumed before a later shutdown send.
-        const std::byte nudge{1};
-        local_.send(local_.rank(), rpc_request, &nudge, 1);
-    } else {
-        retry_deferred();
-    }
+    if (!serve_thread_.joinable() || serve_error_) return; // no live server to replay them
+    // the serve thread owns request handling: hand it the replay via a
+    // one-byte self-send (the empty payload remains the shutdown
+    // signal). The per-(source, tag) FIFO guarantee means every nudge is
+    // consumed before a later shutdown send.
+    const std::byte nudge{1};
+    local_.send(local_.rank(), rpc_request, &nudge, 1);
 }
 
 // --- step-versioned streaming --------------------------------------------------
@@ -1009,7 +979,7 @@ void DistMetadataVol::stream_unsubscribe(const std::string& name) {
     }
 }
 
-void DistMetadataVol::stream_admit(simmpi::detail::CoopLock<std::recursive_mutex>& lock,
+void DistMetadataVol::stream_admit(simmpi::detail::CoopLock<std::mutex>& lock,
                                    const std::string& base) {
     L5_SHARED_READ(this, "streams_", "stream_admit");
     auto it = streams_.find(base);
@@ -1109,7 +1079,7 @@ std::uint64_t DistMetadataVol::stream_expected_consumers(const std::string& base
 void DistMetadataVol::ensure_serve_thread_locked() {
     if (serve_thread_.joinable() || serve_conns_.empty()) return;
     serve_thread_ =
-        simmpi::detail::spawn_participant(local_.scheduler(), "serve", [this] { background_loop(); });
+        simmpi::detail::spawn_participant(local_.scheduler(), "serve", [this] { serve_loop(); });
 }
 
 // --- file lifecycle hooks ------------------------------------------------------
@@ -1169,18 +1139,11 @@ void DistMetadataVol::after_file_close(FileEntry& entry) {
                 round_pins_[{ci, p, entry.name}].push_back(snapshots_.pin(entry.name));
             dones_expected_ += static_cast<std::uint64_t>(c->ic.peer_size());
         }
-        L5_SHARED_READ(this, "background_", "after_file_close");
-        if (background_) {
-            // overlap mode: a background thread serves; the producer
-            // returns from close immediately and keeps computing. Under a
-            // deterministic scheduler the server becomes an auxiliary
-            // task attached at this exact point.
-            ensure_serve_thread_locked();
-            schedule_deferred_retry_locked();
-        } else {
-            retry_deferred();
-            if (serve_on_close_) serve_until(dones_expected_);
-        }
+        // the serve thread answers the round (a sync close waits for it
+        // in file_close). Under a deterministic scheduler the server
+        // becomes an auxiliary task attached at this exact point.
+        ensure_serve_thread_locked();
+        schedule_deferred_retry_locked(); // opens that ran ahead of this publish
     } else if (local_.rank() == 0) {
         // passthru-only file: physical file is complete (collective close
         // barriered); notify consumers it is ready to be opened

@@ -61,27 +61,28 @@ public:
     /// The remote side of `intercomm` produces files matching `pattern`.
     void consume_from(simmpi::Comm intercomm, std::string pattern = "*");
 
-    /// When true (default), closing an in-memory file that someone
-    /// consumes blocks serving it until all consumer ranks are done.
-    void set_serve_on_close(bool v) { serve_on_close_ = v; }
-
-    /// Manually serve outstanding rounds (needed when serve_on_close is
-    /// disabled); returns when all pending done messages have arrived.
+    /// Block until every outstanding round has been served (all pending
+    /// done messages have arrived) and every stream has drained.
     void serve_all();
 
-    /// The paper's future-work overlap (§V-C "consume data as soon as it
-    /// is available, and overlap reading and writing"): when enabled,
-    /// closing an in-memory file indexes it and hands serving to a
-    /// background thread; the producer rank continues immediately.
-    /// Zero-copy buffers must then stay valid until finish_serving().
-    /// Reserves tag 901 on the local communicator for the shutdown signal.
+    /// One serve thread per producer rank, spawned at its first publish,
+    /// answers every request; this flag decides what a close waits for.
+    /// Off (default, the paper's synchronization through file close):
+    /// closing an in-memory file that someone consumes publishes it, then
+    /// blocks until all consumer ranks are done with the round, and opens
+    /// are answered only while such a close waits, so an open pairs with
+    /// the producer's next close. On (the paper's §V-C future work,
+    /// "consume data as soon as it is available, and overlap reading and
+    /// writing"): the close returns right after publishing and opens are
+    /// answered at once; zero-copy buffers must then stay valid until
+    /// finish_serving(). Streams always run as if on. Reserves tag 901 on
+    /// the local communicator for the serve thread's own signals.
     void set_serve_in_background(bool v);
 
     /// Block until every outstanding round has been served and stop the
-    /// background server. Safe to call when background serving is off.
-    /// Cannot hang: when the serve thread died (world abort, deadline,
-    /// malformed request) the wait ends, the thread is joined, and its
-    /// exception is rethrown here.
+    /// serve thread. Cannot hang: when the serve thread died (world
+    /// abort, malformed request) the wait ends, the thread is joined, and
+    /// its exception is rethrown here.
     void finish_serving();
 
     ~DistMetadataVol() override;
@@ -243,28 +244,31 @@ private:
     /// the resulting index + frozen tree as a new MVCC snapshot version.
     void index_file(FileEntry& entry);
 
-    /// Serve requests until `target` total done messages have arrived.
-    void serve_until(std::uint64_t target);
-    /// Handle one queued request if any; returns true when something was
-    /// handled (or deferred work was completed).
-    bool poll_requests();
     /// Dispatch one request: Intersect/Data queries answer against a
     /// pinned snapshot with no serve-mutex acquisition; everything else
-    /// (Done, MetadataQuery, stream control) runs under mutex_.
+    /// (Done, MetadataQuery, stream control) runs under mutex_ and then
+    /// wakes the owed waits.
     void handle_request(Conn& conn, int src, std::vector<std::byte>&& payload);
     void handle_read_request(Conn& conn, int src, diy::BinaryBuffer&& bb, std::uint8_t op);
     void handle_control_request(Conn& conn, int src, diy::BinaryBuffer&& bb, std::uint8_t op);
-    void retry_deferred();
-    /// Replay parked requests after a publish/stream event. With a live
-    /// background server the replay is handed to it via a one-byte
-    /// self-send nudge (request handling stays single-threaded); inline
-    /// otherwise. Requires mutex_ held.
+    /// Replay parked requests after a publish/stream event: hands the
+    /// replay to the serve thread via a one-byte self-send nudge, so
+    /// request handling stays on that one thread. Requires mutex_ held.
     void schedule_deferred_retry_locked();
+    /// The owed waits (sync close, serve_all, drop_file, finish_serving):
+    /// block until every expected Done arrived (with `streams`, also every
+    /// stream drained), there is no serve thread, or serving failed, whose
+    /// error is rethrown. Runs under the world deadline; a timeout (a
+    /// consumer stalled mid-round) becomes the serve error and stops the
+    /// serve thread, so later waits fail at once. `lock` holds mutex_.
+    void wait_owed_locked(simmpi::detail::CoopLock<std::mutex>& lock, const char* site,
+                          bool streams);
     /// Raise the leaked-snapshot-pin lint (L5_CHECK) when pins are still
     /// outstanding at finish_serving.
     void check_pin_leaks();
 
-    void background_loop();
+    /// The serve thread: the only place requests are handled.
+    void serve_loop();
 
     /// Wake dones_cv_ waiters on both paths: the real condition variable
     /// and (when a deterministic scheduler is active) its channel.
@@ -272,11 +276,9 @@ private:
 
     // --- streaming internals (all require mutex_ held) --------------------
     /// Window admission for the step about to be published: runs the
-    /// block-policy backpressure wait (the lock must hold mutex_ exactly
-    /// once — the wait releases it for the serve thread) and the
-    /// drop/latest_only evictions that make room.
-    void stream_admit(simmpi::detail::CoopLock<std::recursive_mutex>& lock,
-                      const std::string& base);
+    /// block-policy backpressure wait (which releases `lock` for the
+    /// serve thread) and the drop/latest_only evictions that make room.
+    void stream_admit(simmpi::detail::CoopLock<std::mutex>& lock, const std::string& base);
     /// Publish one versioned snapshot: index it, answer deferred acquires.
     void publish_step(FileEntry& entry, const std::string& base, stream::StepId step);
     /// Evict + GC per policy after a release/done/publish changed the
@@ -286,16 +288,10 @@ private:
     void gc_step_locked(const std::string& base, stream::StepWindow::Evicted ev);
     /// Every registered stream ended, fully unsubscribed, and unpinned.
     bool streams_drained_locked() const;
-    /// finish_serving predicate: file rounds AND streams done (or the
-    /// serve thread died).
-    bool rounds_done_locked() const {
-        return serve_error_
-               || (dones_received_ >= dones_expected_ && streams_drained_locked());
-    }
     /// Consumer tasks subscribed to `base`: one per matching serve
     /// connection (each consumer task pins/releases through its rank 0).
     std::uint64_t stream_expected_consumers(const std::string& base) const;
-    /// Spawn the background serve thread if not already running.
+    /// Spawn the serve thread if not already running.
     void ensure_serve_thread_locked();
 
     /// Drop every cached producer set belonging to `file`.
@@ -304,9 +300,8 @@ private:
     simmpi::Comm      local_;
     std::vector<Conn> serve_conns_;
     std::vector<Conn> consume_conns_;
-    bool              serve_on_close_ = true;
-    bool              pipelining_     = true;
-    bool              query_cache_    = true;
+    bool              pipelining_  = true;
+    bool              query_cache_ = true;
 
     // wire-compression negotiation (consumer advertises, producer encodes)
     std::vector<PatternPair> compress_;
@@ -326,21 +321,21 @@ private:
     std::map<std::string, FileCache> producer_cache_;
     std::uint64_t                    next_req_id_ = 1;
 
-    // background serving (off by default): the serve thread and the
-    // producer thread share the publish/teardown control state —
-    // files_/deferred_/done counters/round & step pins/stream windows —
-    // guarded by mutex_ (recursive: the sync path serves while holding
-    // it). The query hot path (Intersect/Data) does NOT take it: it reads
-    // a pinned MVCC snapshot (snapshots_), enforced by the
-    // serve-lock-after-pin lint under L5_CHECK.
-    bool                         background_ = false;
-    std::thread                  serve_thread_;
-    mutable std::recursive_mutex mutex_;
-    std::condition_variable_any  dones_cv_;
-    // set (under mutex_) when the background serve thread dies — from a
-    // world abort, a deadline, or a malformed request — so waiters on
-    // dones_cv_ wake instead of hanging; finish_serving() rethrows it
-    std::exception_ptr           serve_error_;
+    // serving: the serve thread and the producer thread share the
+    // publish/teardown control state — files_/deferred_/done counters/
+    // round & step pins/stream windows — guarded by mutex_, which nothing
+    // re-enters. The query hot path (Intersect/Data) does NOT take it: it
+    // reads a pinned MVCC snapshot (snapshots_), enforced by the
+    // serve-lock-after-pin lint under L5_CHECK. background_: see
+    // set_serve_in_background (streams force it on).
+    bool                        background_ = false;
+    std::thread                 serve_thread_;
+    mutable std::mutex          mutex_;
+    std::condition_variable_any dones_cv_;
+    // set (under mutex_) when serving fails — the serve thread died (world
+    // abort, malformed request) or an owed wait timed out — so waiters on
+    // dones_cv_ wake instead of hanging; finish_serving() surfaces it once
+    std::exception_ptr          serve_error_;
 
     // producer state
     std::uint64_t dones_received_ = 0;
@@ -360,8 +355,9 @@ private:
     std::map<std::string, std::vector<mvcc::SnapshotPin>> step_pins_;
 
     // metadata queries for files that do not exist yet (a fast consumer
-    // ran ahead) and step acquires with nothing available yet; retried
-    // after every file close / step publish / stream end
+    // ran ahead, or a sync producer is not waiting in a close) and step
+    // acquires with nothing available yet; retried after every file close
+    // / step publish / stream end
     struct Deferred {
         std::size_t            conn;
         int                    src;

@@ -73,7 +73,7 @@ namespace detail {
 
 /// Deterministic cooperative scheduler: when installed on a World, every
 /// participating thread (one per rank, plus auxiliary threads such as
-/// DistMetadataVol's background server) serializes through this
+/// DistMetadataVol's serve thread) serializes through this
 /// controller — exactly one task runs at a time, and at every scheduling
 /// point (send, recv, probe, collective entry, mailbox wait, serve-loop
 /// wait) the controller picks the next runnable task with a seeded PRNG.

@@ -127,9 +127,6 @@ ParsedWorkflow parse_workflow(const std::string& text) {
             } else if (l.key == "background_serve") {
                 section                      = Section::None;
                 out.options.background_serve = parse_bool(l);
-            } else if (l.key == "serve_on_close") {
-                section                    = Section::None;
-                out.options.serve_on_close = parse_bool(l);
             } else if (l.key == "zerocopy") {
                 section  = Section::None;
                 auto sep = l.value.find(':');

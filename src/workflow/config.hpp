@@ -22,7 +22,7 @@ public:
 ///
 /// ```yaml
 /// mode: memory            # memory | file | both     (optional)
-/// background_serve: true  # optional
+/// background_serve: true  # optional: producer closes return at once
 /// zerocopy: "*.h5 : particles*"   # optional, repeatable
 /// tasks:
 ///   - name: sim

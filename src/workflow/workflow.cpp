@@ -84,7 +84,6 @@ void run(const std::vector<TaskSpec>& tasks, const std::vector<Link>& links,
         if (!opts.mode.memory) ctx.vol->clear_memory();
         if (opts.mode.passthru) ctx.vol->set_passthru("*", "*");
         for (const auto& z : opts.zerocopy) ctx.vol->set_zerocopy(z.file_pattern, z.dset_pattern);
-        ctx.vol->set_serve_on_close(opts.serve_on_close);
         ctx.vol->set_serve_in_background(opts.background_serve);
 
         for (std::size_t i = 0; i < links.size(); ++i) {
@@ -135,7 +134,7 @@ void run(const std::vector<TaskSpec>& tasks, const std::vector<Link>& links,
             }
         }
         obs::Span drain_span("task.drain", "workflow");
-        ctx.vol->finish_serving(); // drain any background serving
+        ctx.vol->finish_serving(); // drain serving, stop the serve thread
     }, opts.runtime);
 
     if (trace_path) obs::write_chrome_trace_file(trace_path);

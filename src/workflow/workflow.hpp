@@ -97,10 +97,11 @@ struct Link {
 struct Options {
     Mode                              mode = Mode::from_env();
     std::vector<lowfive::PatternPair> zerocopy; ///< datasets stored as shallow references
-    bool                              serve_on_close = true;
-    /// Serve consumers from a background thread so producers overlap
+    /// Producer file closes return right after publishing instead of
+    /// waiting for the consumers to finish the round, so producers overlap
     /// computation with data delivery (the paper's §V-C future work).
-    /// The runner calls finish_serving() after each task body returns.
+    /// Either way a serve thread answers the consumers; the runner calls
+    /// finish_serving() after each task body returns.
     bool background_serve = false;
     /// Runtime knobs: fault-injection plan and world-default deadline
     /// (defaults read `L5_FAULTS` / `L5_TIMEOUT_MS`).

@@ -83,9 +83,9 @@ TEST(AsyncServe, CloseReturnsBeforeConsumersAreDone) {
         },
         {Link{0, 1, "*"}}, async_opts());
 
-    // in sync mode this would deadlock (producer blocks serving inside
-    // close, never reaching the send); in background mode it completes
-    // and the close provably preceded the read
+    // in sync mode this would deadlock (the producer's close waits for
+    // the consumer's round, never reaching the send); in background mode
+    // it completes and the close provably preceded the read
     EXPECT_TRUE(closed_before_read.load());
 }
 

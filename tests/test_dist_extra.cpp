@@ -1,7 +1,6 @@
 /// Additional distributed-VOL coverage: remote metadata (attributes,
-/// hierarchy introspection), manual serving (serve_on_close off),
-/// strided hyperslab selections through the full protocol, transfer
-/// statistics, and throttled file mode.
+/// hierarchy introspection), strided hyperslab selections through the
+/// full protocol, transfer statistics, and throttled file mode.
 
 #include <lowfive/lowfive.hpp>
 #include <workflow/workflow.hpp>
@@ -51,36 +50,6 @@ TEST(DistExtra, ConsumerSeesAttributesAndHierarchy) {
              }},
         },
         {Link{0, 1, "*"}});
-}
-
-TEST(DistExtra, ManualServeAll) {
-    workflow::Options opts;
-    opts.serve_on_close = false; // producer controls when to serve
-    workflow::run(
-        {
-            {"producer", 2,
-             [](Context& ctx) {
-                 {
-                     File f = File::create("manual.h5", ctx.vol);
-                     auto d = f.create_dataset("v", dt::int32(), Dataspace({4}));
-                     if (ctx.rank() == 0) {
-                         std::int32_t v[4] = {5, 6, 7, 8};
-                         d.write(v);
-                     }
-                     f.close(); // indexes but does NOT serve
-                 }
-                 // ... the producer could do more work here ...
-                 ctx.vol->serve_all(); // now serve until consumers are done
-             }},
-            {"consumer", 1,
-             [](Context& ctx) {
-                 File f = File::open("manual.h5", ctx.vol);
-                 auto v = f.open_dataset("v").read_vector<std::int32_t>();
-                 EXPECT_EQ(v, (std::vector<std::int32_t>{5, 6, 7, 8}));
-                 f.close();
-             }},
-        },
-        {Link{0, 1, "*"}}, opts);
 }
 
 TEST(DistExtra, StridedHyperslabQuery) {

@@ -5,9 +5,11 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <numeric>
+#include <thread>
 
 using namespace h5;
 using workflow::Context;
@@ -72,7 +74,7 @@ void read_grid_colwise(Context& ctx, const std::string& fname, std::uint64_t row
 }
 
 void run_n_to_m(int n, int m, std::uint64_t rows, std::uint64_t cols,
-                Options opts = Options{.mode = workflow::Mode::in_situ(), .zerocopy = {}, .serve_on_close = true, .background_serve = false, .runtime = {}}) {
+                Options opts = Options{.mode = workflow::Mode::in_situ(), .zerocopy = {}, .background_serve = false, .runtime = {}}) {
     workflow::run(
         {
             {"producer", n, [&](Context& ctx) { write_grid(ctx, "grid.h5", rows, cols); }},
@@ -427,6 +429,59 @@ TEST(DistVol, ConsumerReadsSubsetOnly) {
         {Link{0, 1, "*"}});
 }
 
+TEST(DistVol, SyncOpensPairWithTheirClose) {
+    // a sync producer answers an open only while its close is waiting on
+    // the round: consumers that open before the producer has even created
+    // round r's file (it is still "computing") must read round r, never
+    // the round r-1 version that is still live
+    constexpr int           rounds = 20;
+    constexpr std::uint64_t n      = 64;
+    Options                 opts;
+    opts.mode = workflow::Mode::in_situ();
+    workflow::run(
+        {
+            {"producer", 2,
+             [](Context& ctx) {
+                 for (int r = 0; r < rounds; ++r) {
+                     ctx.world.barrier();
+                     std::this_thread::sleep_for(std::chrono::milliseconds(2)); // compute
+                     File f = File::create("paired.h5", ctx.vol);
+                     f.write_attribute("round", r);
+                     auto        d = f.create_dataset("v", dt::int64(), Dataspace({n}));
+                     const auto  lo = n * static_cast<std::uint64_t>(ctx.rank()) / 2;
+                     const auto  hi = n * static_cast<std::uint64_t>(ctx.rank() + 1) / 2;
+                     Dataspace   sel({n});
+                     diy::Bounds b(1);
+                     b.min[0] = static_cast<std::int64_t>(lo);
+                     b.max[0] = static_cast<std::int64_t>(hi);
+                     sel.select_box(b);
+                     std::vector<std::int64_t> v(hi - lo);
+                     for (std::uint64_t i = lo; i < hi; ++i)
+                         v[i - lo] = r * 1000 + static_cast<std::int64_t>(i);
+                     d.write(v.data(), sel);
+                     f.close();
+                 }
+             }},
+            {"consumer", 2,
+             [](Context& ctx) {
+                 for (int r = 0; r < rounds; ++r) {
+                     ctx.world.barrier();
+                     File f = File::open("paired.h5", ctx.vol);
+                     // EXPECT, not ASSERT: an early return would strand
+                     // the other ranks in the next round's barrier
+                     EXPECT_EQ(f.read_attribute<int>("round"), r) << "rank " << ctx.rank();
+                     auto        v   = f.open_dataset("v").read_vector<std::int64_t>();
+                     std::size_t bad = 0;
+                     for (std::uint64_t i = 0; i < n; ++i)
+                         bad += v[i] != r * 1000 + static_cast<std::int64_t>(i);
+                     EXPECT_EQ(bad, 0u) << "round " << r << " rank " << ctx.rank();
+                     f.close();
+                 }
+             }},
+        },
+        {Link{0, 1, "*"}}, opts);
+}
+
 TEST(DistVol, FileModeThroughPhysicalStorage) {
     PfsModel::instance().configure(0, 0);
     // pid-unique name: parallel sweeps (mh5sched --jobs N) run several
@@ -545,7 +600,6 @@ void read_pool_round(Context& ctx, const std::string& fname, std::uint64_t r,
 Options pool_options(bool background) {
     return Options{.mode             = workflow::Mode::in_situ(),
                    .zerocopy         = {},
-                   .serve_on_close   = true,
                    .background_serve = background,
                    .runtime          = {}};
 }

@@ -431,7 +431,7 @@ TEST(FaultInjection, ConsumerKilledBeforeDoneUnblocksProducer) {
                 },
                 {Link{0, 1, "*"}});
         });
-        // pre-PR the producer hung in serve_until waiting for the done
+        // pre-PR the producer hung in its close waiting for the done
         EXPECT_NE(what.find("task 'consumer'"), std::string::npos) << what;
     });
 }
@@ -475,6 +475,62 @@ TEST(FaultInjection, ConsumerTimesOutWhenProducerNeverServes) {
         EXPECT_NE(what.find("task 'consumer'"), std::string::npos) << what;
         EXPECT_NE(what.find("timeout"), std::string::npos) << what;
     });
+}
+
+TEST(FaultInjection, IdleServerOutlivesDeadline) {
+    // a producer that computes past the world deadline after its last
+    // round leaves its serve loop idle, not stalled: waiting for the next
+    // request must not time out, in either serving mode
+    for (const bool background : {false, true}) {
+        SCOPED_TRACE(background ? "background serve" : "sync serve");
+        Options opts;
+        opts.background_serve           = background;
+        opts.runtime.default_timeout_ms = 200;
+        with_watchdog([&] {
+            workflow::run(
+                {
+                    {"producer", 1,
+                     [](Context& ctx) {
+                         write_grid(ctx, 8, 8);
+                         ctx.vol->serve_all();
+                         std::this_thread::sleep_for(std::chrono::milliseconds(600)); // compute
+                     }},
+                    {"consumer", 1, [](Context& ctx) { read_grid(ctx, 8, 8); }},
+                },
+                {Link{0, 1, "*"}}, opts);
+        });
+    }
+}
+
+TEST(FaultInjection, StalledConsumerTimesOutProducer) {
+    // a consumer that holds its round open forever is a stall: the
+    // producer's wait for that round's Done runs under the world deadline
+    // and fails the producer with a TimeoutError, in either serving mode
+    for (const bool background : {false, true}) {
+        SCOPED_TRACE(background ? "background serve" : "sync serve");
+        Options opts;
+        opts.background_serve           = background;
+        opts.runtime.default_timeout_ms = 200;
+        with_watchdog([&] {
+            auto what = expect_rank_failure([&] {
+                workflow::run(
+                    {
+                        {"producer", 1, [](Context& ctx) { write_grid(ctx, 8, 8); }},
+                        {"consumer", 1,
+                         [](Context& ctx) {
+                             h5::File f = h5::File::open("fault.h5", ctx.vol);
+                             (void)f.open_dataset("grid").read_vector<std::uint64_t>();
+                             // the round stays open: nobody ever sends this
+                             (void)ctx.world.with_deadline(0).recv_value<int>(0, 777);
+                         }},
+                    },
+                    {Link{0, 1, "*"}}, opts);
+            });
+            // world rank 0 is the producer
+            EXPECT_NE(what.find("rank 0 failed"), std::string::npos) << what;
+            EXPECT_NE(what.find("timeout"), std::string::npos) << what;
+        });
+    }
 }
 
 TEST(FaultInjection, DelayedDataRepliesStayByteIdentical) {

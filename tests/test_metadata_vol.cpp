@@ -244,3 +244,23 @@ TEST(MetadataVolTest, SelectionSizeMismatchThrows) {
     std::vector<std::int32_t> v(8);
     EXPECT_THROW(vol->dataset_write(d.handle(), Dataspace::linear(8), fsel, v.data()), Error);
 }
+
+TEST(MetadataVolTest, FailedCloseIsNotRetried) {
+    // a VOL close that throws has still consumed its handle: neither the
+    // File nor its destructor may hand the freed handle back to the VOL
+    struct FailingCloseVol : MetadataVol {
+        int  calls = 0;
+        void file_close(void* file) override {
+            if (++calls > 1) return; // a retry would pass a freed handle
+            MetadataVol::file_close(file);
+            throw Error("injected close failure");
+        }
+    };
+    auto vol = std::make_shared<FailingCloseVol>();
+    {
+        File f = File::create("failed_close.h5", vol);
+        EXPECT_THROW(f.close(), Error);
+        EXPECT_FALSE(f.valid());
+    }
+    EXPECT_EQ(vol->calls, 1);
+}

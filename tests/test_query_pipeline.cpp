@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <random>
-#include <thread>
 
 using namespace h5;
 using workflow::Context;
@@ -41,27 +39,22 @@ void write_quarter(Context& ctx, const std::string& fname, std::uint64_t total) 
 } // namespace
 
 TEST(QueryPipeline, OutOfOrderRepliesByteIdentical) {
-    // Producers serve with staggered delays chosen so that higher-rank
-    // replies overtake lower-rank ones (rank 3 wakes before rank 2): the
-    // consumer's any-source drain must reassemble a byte-identical
-    // buffer regardless of arrival order.
+    // Producers reply with staggered delays chosen so that higher-rank
+    // replies overtake lower-rank ones: ranks 0/1 (the metadata targets)
+    // reply at once, and every intersect and data reply of rank 2 is
+    // delayed past rank 3's, forcing reply order 0,1,3,2. The consumer's
+    // any-source drain must reassemble a byte-identical buffer
+    // regardless of arrival order.
     const std::uint64_t total = 4096;
     Options             opts;
     opts.mode           = workflow::Mode::in_situ();
-    opts.serve_on_close = false; // serve manually, after the stagger delay
+    opts.runtime.faults = simmpi::FaultPlan::parse(
+        "delay:tag=902,ms=80,rank=2;delay:tag=904,ms=80,rank=2;"
+        "delay:tag=902,ms=40,rank=3;delay:tag=904,ms=40,rank=3");
 
     workflow::run(
         {
-            {"producer", 4,
-             [&](Context& ctx) {
-                 write_quarter(ctx, "ooo.h5", total);
-                 // ranks 0/1 (the metadata targets) serve at once; rank 2
-                 // wakes after rank 3, forcing reply order 0,1,3,2
-                 static constexpr int delay_ms[4] = {0, 0, 80, 40};
-                 std::this_thread::sleep_for(
-                     std::chrono::milliseconds(delay_ms[ctx.rank()]));
-                 ctx.vol->serve_all();
-             }},
+            {"producer", 4, [&](Context& ctx) { write_quarter(ctx, "ooo.h5", total); }},
             {"consumer", 2,
              [&](Context& ctx) {
                  File f = File::open("ooo.h5", ctx.vol);

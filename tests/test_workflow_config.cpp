@@ -50,7 +50,6 @@ TEST(WorkflowConfig, ParsesModesAndFlags) {
     auto p = parse_workflow(R"(
 mode: both
 background_serve: true
-serve_on_close: false
 zerocopy: "*.h5 : particles*"
 zerocopy: checkpoint*
 tasks:
@@ -61,7 +60,6 @@ tasks:
     EXPECT_TRUE(p.options.mode.memory);
     EXPECT_TRUE(p.options.mode.passthru);
     EXPECT_TRUE(p.options.background_serve);
-    EXPECT_FALSE(p.options.serve_on_close);
     ASSERT_EQ(p.options.zerocopy.size(), 2u);
     EXPECT_EQ(p.options.zerocopy[0].file_pattern, "*.h5");
     EXPECT_EQ(p.options.zerocopy[0].dset_pattern, "particles*");
@@ -138,6 +136,15 @@ TEST(WorkflowConfig, ErrorsCarryLineNumbers) {
         FAIL() << "expected ConfigError";
     } catch (const ConfigError& e) {
         EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
+    // serve_on_close is no key: every producer serves from its serve thread
+    try {
+        parse_workflow("mode: memory\nserve_on_close: false\n");
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("line 2: unknown top-level key 'serve_on_close'"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
