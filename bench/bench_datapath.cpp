@@ -15,23 +15,17 @@
 ///              ratio against memcpy at the largest payload
 ///   kernels    naive / coalesced / vectorized ablation at the largest
 ///              payload
-///   wire       compression ablation on a throttled wire (WireModel at
-///              L5_DATAPATH_WIRE_MBPS, default 500): with the wire as the
-///              bottleneck, spending serve CPU on the codec must win
-///              end-to-end on compressible data
 ///
 /// Environment knobs:
 ///   L5_BENCH_TRIALS        trials per scenario (default 3)
 ///   L5_DATAPATH_MAX_MIB    largest payload in MiB (default 128; set 1024
 ///                          for the paper-style GB-scale point)
-///   L5_DATAPATH_WIRE_MBPS  modelled wire bandwidth for the ablation
 ///
 /// Emits BENCH_datapath.json into the working directory.
 
 #include "common.hpp"
 
 #include <h5/par.hpp>
-#include <lowfive/codec.hpp>
 
 #include <algorithm>
 #include <chrono>
@@ -57,11 +51,6 @@ std::size_t max_payload_bytes() {
     return mib << 20;
 }
 
-double wire_mbps() {
-    if (const char* e = std::getenv("L5_DATAPATH_WIRE_MBPS"); e && *e) return std::atof(e);
-    return 500.0;
-}
-
 /// Best-of-5 bandwidth of one memcpy of `bytes`, in GB/s.
 double memcpy_GBps(std::size_t bytes) {
     std::vector<std::byte> src(bytes), dst(bytes);
@@ -82,7 +71,6 @@ double memcpy_GBps(std::size_t bytes) {
 struct EteResult {
     std::vector<double>     seconds; ///< consumer wall per trial
     obs::Registry::Snapshot metrics; ///< consumer, last trial
-    obs::Registry::Snapshot producer_metrics;
 
     std::uint64_t counter(const char* name) const {
         auto it = metrics.counters.find(name);
@@ -95,10 +83,9 @@ struct EteResult {
     }
 };
 
-/// One end-to-end trial: 1 producer writes n uint64s (values = index, so
-/// the payload is compressible the way numeric HPC data is), 1 consumer
-/// reads the full array once.
-void run_ete(std::size_t bytes, KernelMode mode, bool compress, int trials, EteResult& out) {
+/// One end-to-end trial: 1 producer writes n uint64s (values = index), 1
+/// consumer reads the full array once.
+void run_ete(std::size_t bytes, KernelMode mode, int trials, EteResult& out) {
     set_selection_kernel_mode(mode);
     const std::uint64_t n = bytes / 8;
 
@@ -117,11 +104,9 @@ void run_ete(std::size_t bytes, KernelMode mode, bool compress, int trials, EteR
                      // the close serves the consumer's whole round; the
                      // timed_section barriers pair with the consumer's
                      benchcommon::timed_section(ctx.world, [&] { f.close(); });
-                     if (t == trials - 1) out.producer_metrics = ctx.vol->metrics().snapshot();
                  }},
                 {"consumer", 1,
                  [&](Context& ctx) {
-                     if (compress) ctx.vol->set_compress("*", "*");
                      double s = benchcommon::timed_section(ctx.world, [&] {
                          File f    = File::open("dp.h5", ctx.vol);
                          auto vals = f.open_dataset("v").read_vector<std::uint64_t>();
@@ -185,7 +170,7 @@ int main() {
     double data_largest = 0;
     for (std::size_t b : sizes) {
         EteResult r;
-        run_ete(b, KernelMode::vectorized, /*compress=*/false, trials, r);
+        run_ete(b, KernelMode::vectorized, trials, r);
         const double gbps = data_GBps(r, b);
         std::printf("  sweep   %6zu MiB  %7.2f GB/s data phase  (median wall %.4f s)\n", b >> 20,
                     gbps, r.median());
@@ -202,39 +187,11 @@ int main() {
     for (auto [mode, name] : {std::pair{KernelMode::naive, "naive"},
                               std::pair{KernelMode::coalesced, "coalesced"}}) {
         EteResult r;
-        run_ete(sizes.back(), mode, /*compress=*/false, trials, r);
+        run_ete(sizes.back(), mode, trials, r);
         std::printf("  kernel  %-10s %7.2f GB/s data phase\n", name, data_GBps(r, sizes.back()));
         benchcommon::add_scenario(
             env, ete_scenario(std::string("kernel_") + name + "_largest", sizes.back(), r));
     }
-
-    // --- compression ablation on a throttled wire ----------------------------
-    const std::size_t wire_bytes = sizes.size() > 1 ? sizes[sizes.size() - 2] : sizes.back();
-    const double      mbps       = wire_mbps();
-    auto&             wm         = lowfive::codec::WireModel::instance();
-    env.set("wire_MBps", mbps);
-    double uncompressed_median = 0, compressed_median = 0;
-    for (bool compress : {false, true}) {
-        wm.configure(mbps);
-        wm.reset_stats();
-        EteResult r;
-        run_ete(wire_bytes, KernelMode::vectorized, compress, trials, r);
-        wm.configure(0);
-        const char* label = compress ? "wire_throttled_compressed" : "wire_throttled_uncompressed";
-        std::printf("  wire    %-28s median %.4f s  (%llu wire bytes last trial)\n", label,
-                    r.median(),
-                    static_cast<unsigned long long>(r.producer_metrics.counters.count("bytes_wire")
-                                                        ? r.producer_metrics.counters.at("bytes_wire")
-                                                        : 0));
-        auto sc = ete_scenario(std::string(label) + "_" + std::to_string(wire_bytes >> 20) + "mib",
-                               wire_bytes, r);
-        benchcommon::add_scenario(env, std::move(sc));
-        (compress ? compressed_median : uncompressed_median) = r.median();
-    }
-    const double wire_speedup =
-        compressed_median > 0 ? uncompressed_median / compressed_median : 0;
-    std::printf("  wire    compression speedup on throttled wire: %.2fx\n", wire_speedup);
-    env.set("compression_wire_speedup", wire_speedup);
 
     benchcommon::write_bench_json(env);
     return 0;

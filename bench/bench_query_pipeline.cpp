@@ -11,10 +11,6 @@
 ///   pipelined_uncached       pipelining + vectorized kernels, cache off
 ///   pipelined_cached         the full plane; repeated reads skip the
 ///                            intersect round
-///   pipelined_cached_compressed  the full plane with wire compression
-///                            negotiated for every dataset (the CPU cost
-///                            of the codec on an unthrottled wire; see
-///                            bench_datapath for the throttled tradeoff)
 ///   concurrent_readers_during_publish  the MVCC serve plane: producers
 ///                            rewrite the file while consumers read
 ///                            concurrently (background serve); every
@@ -79,8 +75,7 @@ diy::Bounds consumer_block(int r) {
 
 /// One trial: returns the barrier-bounded wall time of the consume phase
 /// (open + reads_per_open reads + close, overlapped with producer serving).
-double run_trial(bool pipelined, bool cached, KernelMode kernels, bool compress,
-                 ScenarioResult* stats_sink) {
+double run_trial(bool pipelined, bool cached, KernelMode kernels, ScenarioResult* stats_sink) {
     set_selection_kernel_mode(kernels);
 
     double  seconds = 0.0;
@@ -114,7 +109,6 @@ double run_trial(bool pipelined, bool cached, KernelMode kernels, bool compress,
              [&](Context& ctx) {
                  ctx.vol->set_pipelining(pipelined);
                  ctx.vol->set_query_cache(cached);
-                 if (compress) ctx.vol->set_compress("*", "*");
 
                  const auto mine = consumer_block(ctx.rank());
                  Dataspace  sel({dim_x, dim_y, dim_z});
@@ -229,12 +223,11 @@ double run_concurrent_trial(ScenarioResult* stats_sink) {
 }
 
 ScenarioResult run_scenario(const std::string& label, int trials, bool pipelined, bool cached,
-                            KernelMode kernels = KernelMode::vectorized,
-                            bool compress = false) {
+                            KernelMode kernels = KernelMode::vectorized) {
     ScenarioResult res;
     res.label = label;
     for (int t = 0; t < trials; ++t)
-        res.seconds.push_back(run_trial(pipelined, cached, kernels, compress, &res));
+        res.seconds.push_back(run_trial(pipelined, cached, kernels, &res));
     std::printf("  %-24s median %.4f s  (intersects/rank %llu, cache hits %llu)\n", label.c_str(),
                 res.median(),
                 static_cast<unsigned long long>(res.counter("n_intersect_queries")),
@@ -291,9 +284,6 @@ int main() {
                                    /*pipelined=*/true, /*cached=*/false));
     results.push_back(run_scenario("pipelined_cached", trials,
                                    /*pipelined=*/true, /*cached=*/true));
-    results.push_back(run_scenario("pipelined_cached_compressed", trials,
-                                   /*pipelined=*/true, /*cached=*/true, KernelMode::vectorized,
-                                   /*compress=*/true));
     results.push_back(run_concurrent_scenario(trials));
 
     const double speedup = results.front().median() / results[2].median();

@@ -296,13 +296,10 @@ obs::json::Value phase_json(const obs::Registry::Snapshot& metrics) {
     phases.set("query_intersect_ns", intersect);
     phases.set("query_data_ns", data);
     phases.set("query_other_ns", query >= intersect + data ? query - intersect - data : 0);
-    // sub-phases *inside* query_data_ns (they do not enter the
-    // intersect + data + other == query identity): consumer-side frame
-    // decompression and the scatter/unpack copies into the user buffer
-    phases.set("query_compress_ns", c("time_query_compress_ns"));
+    // a sub-phase *inside* query_data_ns (it does not enter the
+    // intersect + data + other == query identity): the scatter/unpack
+    // copies into the user buffer
     phases.set("query_copy_ns", c("time_query_copy_ns"));
-    // serve-side frame encoding, a sub-phase of serve_ns
-    phases.set("serve_compress_ns", c("time_serve_compress_ns"));
     return phases;
 }
 

@@ -130,10 +130,8 @@ void print_recorded(const std::string& title, const Params& p, const std::vector
 ///         "seconds": [...], "seconds_median": ...,
 ///         "phases":   { "index_ns", "serve_ns", "query_ns",
 ///                       "query_intersect_ns", "query_data_ns",
-///                       "query_other_ns",
-///                       "query_compress_ns", "query_copy_ns",
-///                       "serve_compress_ns" },         // when metrics known
-///         "counters": { "bytes_served", "bytes_wire", ... }, // when metrics known
+///                       "query_other_ns", "query_copy_ns" }, // when metrics known
+///         "counters": { "bytes_served", "bytes_fetched", ... }, // when metrics known
 ///         "query_latency_ns": { "count", "mean", "p50", "p99" } }, ... ],
 ///     ...bench-specific extras }
 ///
@@ -141,10 +139,9 @@ void print_recorded(const std::string& title, const Params& p, const std::vector
 /// the time_*_ns counters accumulated by obs::ScopedTimerNs, so the
 /// index / intersect / data / other breakdown is available without
 /// tracing. query_intersect_ns + query_data_ns + query_other_ns ==
-/// query_ns by construction. query_compress_ns (frame decompression) and
-/// query_copy_ns (scatter/unpack into the user buffer) are sub-phases
-/// *inside* query_data_ns and do not enter that identity; likewise
-/// serve_compress_ns (frame encoding) is a sub-phase of serve_ns.
+/// query_ns by construction. query_copy_ns (scatter/unpack into the user
+/// buffer) is a sub-phase *inside* query_data_ns and does not enter that
+/// identity.
 
 obs::json::Value bench_envelope(const std::string& bench,
                                 std::uint64_t payload_bytes_per_rank, int trials);

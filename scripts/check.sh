@@ -88,9 +88,9 @@ L5_DATA_THREADS=3 L5_PAR_THRESHOLD=1024 \
 # snapshot those buffers belong to; the payload's snapshot reference must
 # keep every read valid under seeded schedules
 ./build/tools/mh5sched --seeds 1:5 --timeout 120 --jobs "$jobs" --check --race \
-    -- ./build/tests/test_codec --gtest_brief=1 --gtest_filter='ZeroCopyServe.*'
+    -- ./build/tests/test_zero_copy --gtest_brief=1
 ./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
-    -- ./build/tests/test_codec --gtest_brief=1 --gtest_filter='ZeroCopyServe.*'
+    -- ./build/tests/test_zero_copy --gtest_brief=1
 # MVCC snapshot-index sweep: versioned pins, GC on last unpin, and the
 # defer-until-published read protocol must stay torn-read-free and
 # hang-free under seeded schedules (the full 200-seed sweep runs in CI)
@@ -125,7 +125,7 @@ if [[ $tsan -eq 1 ]]; then
     # the file header); everything else still fails the run
     TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp" \
         ctest --test-dir build-tsan --output-on-failure --no-tests=error --timeout 300 -j "$jobs" \
-          -R 'Simmpi|AsyncServe|QueryPipeline|DistVol|Telemetry|FaultInjection|Sched|Kern|Codec|ZeroCopy|WireModel|Stream|Mvcc|Snapshot'
+          -R 'Simmpi|AsyncServe|QueryPipeline|DistVol|Telemetry|FaultInjection|Sched|Kern|ZeroCopy|Stream|Mvcc|Snapshot'
 fi
 
 if [[ $ubsan -eq 1 ]]; then

@@ -1,7 +1,5 @@
 #include "dist_vol.hpp"
 
-#include "codec.hpp"
-
 #include <check/check.hpp>
 #include <diy/serialization.hpp>
 #include <obs/trace.hpp>
@@ -9,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -92,9 +89,6 @@ DistMetadataVol::DistMetadataVol(simmpi::Comm local, h5::VolPtr passthru_vol)
     // these tags elsewhere is a collision, and the serve loop's any-source
     // request/reply drains are an order-insensitive protocol by design
     local_.check_reserve_tags(rpc_request, rpc_data_reply, "dist_vol");
-    if (const char* e = std::getenv("L5_COMPRESS"); e && *e && std::atoi(e) != 0)
-        compress_.push_back({"*", "*"});
-    codec::WireModel::instance().configure_from_env();
     // arm the serve-lock-after-pin lint alongside the MPI-semantics
     // checker: checked runs also verify the query path stays lock-free
     if (l5check::CheckConfig::from_env()) mvcc::set_lock_lint(true);
@@ -110,23 +104,14 @@ DistMetadataVol::DistMetadataVol(simmpi::Comm local, h5::VolPtr passthru_vol)
         PiecePool::Metrics{&c_recycled_pieces_, &c_bytes_recycled_, &g_piece_pool_bytes_});
 }
 
-void DistMetadataVol::set_compress(const std::string& file_pattern,
-                                   const std::string& dset_pattern) {
-    compress_.push_back({file_pattern, dset_pattern});
-}
-
-void DistMetadataVol::clear_compress() { compress_.clear(); }
-
 DistMetadataVol::Stats DistMetadataVol::stats() const {
     Stats s;
     s.bytes_served             = c_bytes_served_.value();
     s.bytes_fetched            = c_bytes_fetched_.value();
-    s.bytes_wire               = c_bytes_wire_.value();
     s.n_data_queries           = c_data_queries_.value();
     s.n_intersect_queries      = c_intersect_queries_.value();
     s.n_intersect_cache_hits   = c_cache_hits_.value();
     s.n_intersect_cache_misses = c_cache_misses_.value();
-    s.n_compressed_pieces      = c_compressed_pieces_.value();
     s.n_zero_copy_pieces       = c_zero_copy_pieces_.value();
     s.n_steps_published        = c_steps_published_.value();
     s.n_steps_dropped          = c_steps_dropped_.value();
@@ -518,8 +503,7 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
     {
         obs::Span span("serve.data", "lowfive",
                        {{"src", static_cast<std::uint64_t>(src), nullptr}});
-        Dataspace  fs     = Dataspace::load(bb);
-        const auto accept = bb.load<std::uint8_t>(); // consumer accepts codec frames
+        Dataspace fs = Dataspace::load(bb);
 
         if (!snap) throw Error("lowfive: data query for unknown file '" + name + "'");
         mvcc::ReadSection section;
@@ -546,9 +530,7 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
         diy::BinaryBuffer reply;
         reply.save(req_id);
         reply.save<std::uint64_t>(hits.size());
-        std::uint64_t          served  = 0;
-        std::uint64_t          aliased = 0; // wanted bytes of the aliased pieces
-        std::vector<std::byte> scratch;     // reused staging for pieces we encode
+        std::uint64_t served = 0;
         // pieces served without any copy: the reply header records u8 2
         // and the piece's packed buffer follows as its own aliased
         // message on the same (src, tag) stream — the mailbox's
@@ -558,12 +540,11 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
             sub.save(reply);
             const std::uint64_t nbytes = sub.npoints() * elem;
             reply.save(nbytes);
-            const bool compress_this = accept && nbytes >= compress_min_bytes_;
-            // zero-copy eligibility: the piece owns a packed copy (Deep),
-            // compression was not negotiated, and the query wants enough
-            // of it to pay for a second message — whole piece or not
+            // zero-copy eligibility: the piece owns a packed copy (Deep)
+            // and the query wants enough of it to pay for a second
+            // message — whole piece or not
             const std::vector<std::byte>* packed = piece->packed_bytes();
-            if (!compress_this && packed && nbytes >= zero_copy_min_bytes_) {
+            if (packed && nbytes >= zero_copy_min_bytes_) {
                 reply.save<std::uint8_t>(2);
                 save_aliased_header(reply, where);
                 // owning alias: the payload shares the snapshot's
@@ -573,31 +554,6 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
                 // side copies instead of moving them out from under us)
                 zc.emplace_back(simmpi::SharedPayload(snap.shared(), packed));
                 c_zero_copy_pieces_.inc();
-                aliased += nbytes;
-            } else if (compress_this) {
-                // piece payload goes out as a codec frame: u8 1, u64
-                // frame size (patched once known), then the frame. When
-                // the query wants the whole piece box for box (so sub's
-                // iteration order is the piece's) and the piece owns a
-                // packed copy, compress straight from it — no extract copy.
-                const std::byte* enc_src = nullptr;
-                if (packed && sub.boxes() == piece->filespace.boxes()) enc_src = packed->data();
-                if (!enc_src) {
-                    scratch.clear();
-                    piece->extract(sub, elem, scratch);
-                    enc_src = scratch.data();
-                }
-                reply.save<std::uint8_t>(1);
-                auto&             raw   = reply.mutable_data();
-                const std::size_t szoff = raw.size();
-                reply.save<std::uint64_t>(0);
-                std::uint64_t fsz;
-                {
-                    obs::ScopedTimerNs enc_timer(c_t_encode_ns_);
-                    fsz = codec::compress_frame(enc_src, nbytes, elem, raw);
-                }
-                std::memcpy(raw.data() + szoff, &fsz, 8);
-                c_compressed_pieces_.inc();
             } else {
                 // extract straight into the reply buffer: no intermediate copy
                 reply.save<std::uint8_t>(0);
@@ -605,16 +561,8 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
             }
             served += nbytes;
         }
-        // the wire carries the headers plus the bytes the consumer wants:
-        // an aliased piece counts its wanted bytes, not its whole buffer
-        const std::uint64_t wire = reply.size() + aliased;
         c_bytes_served_.add(served);
-        c_bytes_wire_.add(wire);
         span.end_arg("bytes", served);
-        span.end_arg("wire_bytes", wire);
-        // the modelled interconnect charges post-codec bytes: compression
-        // buys wall-clock exactly when the wire is the bottleneck
-        codec::WireModel::instance().charge(wire);
         send_buffer(conn.ic, src, rpc_data_reply, std::move(reply));
         // zero-copy payloads follow the header in piece order
         for (auto& p : zc) conn.ic.send_shared(src, rpc_data_reply, std::move(p));
@@ -671,14 +619,13 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         L5_SHARED_READ(this, "dones_", "serve/metadata");
         const bool closing = background_ || dones_received_ < dones_expected_;
         if (it == files_.end() || !it->second.root || it->second.writable || !snap || !closing) {
-            // consumer ran ahead of the producer: retry after next close
-            diy::BinaryBuffer orig;
-            orig.save(static_cast<std::uint8_t>(Op::MetadataQuery));
-            orig.save(name);
+            // consumer ran ahead of the producer: park the request as
+            // received (take() returns the whole payload, op byte
+            // included) and retry after the next close
             std::size_t conn_idx =
                 static_cast<std::size_t>(&conn - serve_conns_.data());
             L5_SHARED_WRITE(this, "deferred_", "serve/metadata");
-            deferred_.push_back({conn_idx, src, std::move(orig).take()});
+            deferred_.push_back({conn_idx, src, std::move(bb).take()});
             break;
         }
         // reply from the snapshot so version and skeleton are one
@@ -701,16 +648,11 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         if (sit != streams_.end()) r = sit->second.acquire(stream::StepId(min_raw), latest != 0);
         if (r.status == stream::StepWindow::Acquire::Status::retry_later) {
             // nothing published past `min` yet and the stream is still
-            // open (or not registered yet): park the request; replayed
-            // after the next publish / stream begin / stream end
-            diy::BinaryBuffer orig;
-            orig.save(static_cast<std::uint8_t>(Op::StepNext));
-            orig.save(base);
-            orig.save(min_raw);
-            orig.save(latest);
+            // open (or not registered yet): park the request as received;
+            // replayed after the next publish / stream begin / stream end
             std::size_t conn_idx = static_cast<std::size_t>(&conn - serve_conns_.data());
             L5_SHARED_WRITE(this, "deferred_", "serve/step_next");
-            deferred_.push_back({conn_idx, src, std::move(orig).take()});
+            deferred_.push_back({conn_idx, src, std::move(bb).take()});
             break;
         }
         if (r.status == stream::StepWindow::Acquire::Status::granted) {
@@ -1271,10 +1213,6 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
         }
     }
 
-    // negotiate wire compression per (file, dataset): the request
-    // advertises whether this consumer accepts codec frames in the reply
-    const std::uint8_t accept_codec = matches(compress_, stream::base_name(f.name), dset) ? 1 : 0;
-
     std::map<std::uint64_t, int> pending_data; // req id -> producer rank
     auto send_data_query = [&](int p) {
         const std::uint64_t id = next_req_id_++;
@@ -1288,7 +1226,6 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
         // file even while a rewrite is being published
         req.save(f.version);
         filespace.save(req);
-        req.save(accept_codec);
         send_buffer(conn.ic, p, rpc_request, std::move(req));
         pending_data.emplace(id, p);
         c_data_queries_.inc();
@@ -1387,17 +1324,16 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
 
     // retained per-piece state for the direct path's holes fallback: the
     // sub-selection, a pointer into storage kept alive below (reply
-    // buffers, per-piece decode buffers, zero-copy payloads), and for an
-    // aliased piece where the sub-selection sits in that payload
+    // buffers, zero-copy payloads), and for an aliased piece where the
+    // sub-selection sits in that payload
     struct PieceRec {
         Dataspace               sub;
         const std::byte*        data = nullptr;
         std::vector<h5::SelRun> located; ///< empty: data is packed in sub's order
     };
-    std::vector<PieceRec>                    recs;
-    std::deque<diy::BinaryBuffer>            kept_replies;
-    std::deque<std::unique_ptr<std::byte[]>> kept_decoded; // uninitialized: decode fills them
-    std::vector<simmpi::SharedPayload>       shared_payloads; // alive until scatters finish
+    std::vector<PieceRec>              recs;
+    std::deque<diy::BinaryBuffer>      kept_replies;
+    std::vector<simmpi::SharedPayload> shared_payloads; // alive until scatters finish
 
     // one piece into the selection's packed layout: a single fused merge
     // from wherever its bytes sit, direct, staged, or replayed
@@ -1406,11 +1342,6 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
                            filespace.runs_by_file(), dst, elem);
     };
 
-    // reused staging when nothing is retained; uninitialized for the
-    // same reason as the codec scratch (decompress_frame fills exactly
-    // nbytes, so zero-filling first would only add page traffic)
-    std::unique_ptr<std::byte[]> decoded;
-    std::size_t                  decoded_cap = 0;
     auto scatter_reply = [&](diy::BinaryBuffer& reply, int from) {
         auto npieces = reply.load<std::uint64_t>();
         for (std::uint64_t k = 0; k < npieces; ++k) {
@@ -1432,28 +1363,11 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
                 rec.located = load_aliased_header(reply, rec.sub, payload->size(), elem);
                 rec.data    = payload->data();
                 shared_payloads.push_back(std::move(payload));
-            } else if (enc == 1) {
-                const auto       fsz   = reply.load<std::uint64_t>();
-                const std::byte* frame = reply.skip(fsz);
-                if (codec::frame_raw_size(frame, fsz) != nbytes)
-                    throw Error("lowfive: data reply frame decodes to unexpected size");
-                std::byte* dst;
-                if (direct) {
-                    dst = kept_decoded
-                              .emplace_back(std::make_unique_for_overwrite<std::byte[]>(nbytes))
-                              .get();
-                } else {
-                    if (decoded_cap < nbytes) {
-                        decoded     = std::make_unique_for_overwrite<std::byte[]>(nbytes);
-                        decoded_cap = nbytes;
-                    }
-                    dst = decoded.get();
-                }
-                obs::ScopedTimerNs dec_timer(c_t_decode_ns_);
-                codec::decompress_frame(frame, fsz, dst);
-                rec.data = dst;
+            } else if (enc == 0) {
+                rec.data = reply.skip(nbytes); // inline: scatter in place
             } else {
-                rec.data = reply.skip(nbytes); // scatter in place
+                throw Error("lowfive: data reply piece has unknown encoding "
+                            + std::to_string(enc));
             }
             fetched += nbytes;
             {

@@ -104,22 +104,6 @@ public:
         if (!v) producer_cache_.clear();
     }
 
-    /// Wire compression, negotiated per (file, dataset): data queries for
-    /// datasets matching any registered glob pair advertise that the
-    /// reply may be compressed; the serving side then wraps each piece
-    /// payload ≥ the minimum size in a codec frame (byte shuffle +
-    /// LZ4-style, lowfive::codec) before it enters the simmpi envelope.
-    /// Setting `L5_COMPRESS=1` in the environment registers ("*", "*") at
-    /// construction. Off by default: the codec trades serve/query CPU
-    /// for wire bytes, which only pays on a constrained interconnect
-    /// (see `L5_WIRE_MBPS`).
-    void set_compress(const std::string& file_pattern, const std::string& dset_pattern);
-    void clear_compress();
-
-    /// Serve side: pieces smaller than this many bytes are never
-    /// compressed (header + codec overhead would dominate). Default 4 KiB.
-    void set_compress_min_bytes(std::uint64_t n) { compress_min_bytes_ = n; }
-
     /// Serve side: when a data query wants at least this many bytes of a
     /// piece that owns a packed copy (Ownership::Deep), the reply aliases
     /// the piece's whole packed buffer on the wire instead of extracting
@@ -128,8 +112,8 @@ public:
     /// The reply header says where the wanted elements sit in the buffer
     /// and the consumer copies them out in one merge. Smaller wants are
     /// copied inline instead (a second message per piece has fixed
-    /// protocol cost). Default 64 KiB; compression takes precedence, and
-    /// Shallow (set_zerocopy) pieces always extract.
+    /// protocol cost). Default 64 KiB; Shallow (set_zerocopy) pieces
+    /// always extract.
     void set_zero_copy_min_bytes(std::uint64_t n) { zero_copy_min_bytes_ = n; }
 
     // --- step-versioned streaming (see stream/stream.hpp and DESIGN.md
@@ -178,14 +162,12 @@ public:
     /// metrics registry, returned by value so it is safe to read while a
     /// background serve thread is updating the underlying counters.
     struct Stats {
-        std::uint64_t bytes_served   = 0; ///< payload bytes sent while serving (pre-codec)
-        std::uint64_t bytes_fetched  = 0; ///< payload bytes received by queries (post-codec)
-        std::uint64_t bytes_wire     = 0; ///< data-reply bytes that crossed the wire
+        std::uint64_t bytes_served   = 0; ///< payload bytes sent while serving
+        std::uint64_t bytes_fetched  = 0; ///< payload bytes received by queries
         std::uint64_t n_data_queries = 0;
         std::uint64_t n_intersect_queries = 0;
         std::uint64_t n_intersect_cache_hits   = 0; ///< reads that skipped the intersect round
         std::uint64_t n_intersect_cache_misses = 0; ///< reads that had to run it
-        std::uint64_t n_compressed_pieces = 0; ///< reply pieces that went out codec-framed
         std::uint64_t n_zero_copy_pieces  = 0; ///< reply pieces served as aliased buffers
         // streaming (producer side unless noted)
         std::uint64_t n_steps_published    = 0; ///< steps admitted to the staging window
@@ -303,10 +285,7 @@ private:
     bool              pipelining_  = true;
     bool              query_cache_ = true;
 
-    // wire-compression negotiation (consumer advertises, producer encodes)
-    std::vector<PatternPair> compress_;
-    std::uint64_t            compress_min_bytes_  = 4096;
-    std::uint64_t            zero_copy_min_bytes_ = 65536;
+    std::uint64_t zero_copy_min_bytes_ = 65536; ///< see set_zero_copy_min_bytes
 
     // consumer state (touched only by the consumer's own thread): the
     // producer sets learned for one remote file, valid for exactly one
@@ -390,15 +369,10 @@ private:
     obs::Counter&   c_t_query_ns_       = metrics_.counter("time_query_ns");
     obs::Counter&   c_t_intersect_ns_   = metrics_.counter("time_query_intersect_ns");
     obs::Counter&   c_t_data_ns_        = metrics_.counter("time_query_data_ns");
-    // data-plane breakdown: decompress (time_query_compress_ns) and
-    // scatter/unpack (time_query_copy_ns) are sub-phases of the data
-    // phase; serve-side encode time is separate (inside time_serve_ns)
-    obs::Counter&   c_bytes_wire_         = metrics_.counter("bytes_wire");
-    obs::Counter&   c_compressed_pieces_  = metrics_.counter("n_compressed_pieces");
-    obs::Counter&   c_zero_copy_pieces_   = metrics_.counter("n_zero_copy_pieces");
-    obs::Counter&   c_t_encode_ns_        = metrics_.counter("time_serve_compress_ns");
-    obs::Counter&   c_t_decode_ns_        = metrics_.counter("time_query_compress_ns");
-    obs::Counter&   c_t_copy_ns_          = metrics_.counter("time_query_copy_ns");
+    // data-plane breakdown: scatter/unpack (time_query_copy_ns) is a
+    // sub-phase of the data phase
+    obs::Counter&   c_zero_copy_pieces_ = metrics_.counter("n_zero_copy_pieces");
+    obs::Counter&   c_t_copy_ns_        = metrics_.counter("time_query_copy_ns");
     obs::Histogram& h_query_ns_         = metrics_.histogram("query_latency_ns");
     // streaming lifecycle: counts mirror Stats; the gauge tracks the
     // occupancy of the most recently updated stream window and the

@@ -80,7 +80,7 @@ struct StreamConfig {
 /// Versioned file names: step `s` of stream "sim.h5" is stored under the
 /// internal name "sim.h5<US>s" (US = 0x1f, a character no portable file
 /// name contains, so versioned names can never collide with user files).
-/// Pattern matching (serve/consume routes, memory/passthru/compress
+/// Pattern matching (serve/consume routes, memory/passthru/zerocopy
 /// rules) is always done against the *base* name.
 std::string step_name(const std::string& base, StepId step);
 
