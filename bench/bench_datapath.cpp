@@ -10,11 +10,9 @@
 /// Sections:
 ///   memcpy     raw single-copy bandwidth per payload size (the baseline
 ///              the acceptance target is expressed against)
-///   sweep      end-to-end payload-size sweep, vectorized kernels; the
-///              JSON records bytes / time_query_data_ns per size and the
-///              ratio against memcpy at the largest payload
-///   kernels    naive / coalesced / vectorized ablation at the largest
-///              payload
+///   sweep      end-to-end payload-size sweep; the JSON records bytes /
+///              time_query_data_ns per size and the ratio against memcpy
+///              at the largest payload
 ///
 /// Environment knobs:
 ///   L5_BENCH_TRIALS        trials per scenario (default 3)
@@ -85,8 +83,7 @@ struct EteResult {
 
 /// One end-to-end trial: 1 producer writes n uint64s (values = index), 1
 /// consumer reads the full array once.
-void run_ete(std::size_t bytes, KernelMode mode, int trials, EteResult& out) {
-    set_selection_kernel_mode(mode);
+void run_ete(std::size_t bytes, int trials, EteResult& out) {
     const std::uint64_t n = bytes / 8;
 
     for (int t = 0; t < trials; ++t) {
@@ -120,7 +117,6 @@ void run_ete(std::size_t bytes, KernelMode mode, int trials, EteResult& out) {
             },
             {Link{0, 1, "*"}}, opts);
     }
-    set_selection_kernel_mode(KernelMode::vectorized);
 }
 
 /// GB/s of the data phase: payload bytes over time_query_data_ns.
@@ -166,11 +162,11 @@ int main() {
     }
     env.set("memcpy_GBps", std::move(memcpy_tbl));
 
-    // --- end-to-end payload sweep, vectorized kernels ------------------------
+    // --- end-to-end payload sweep -------------------------------------------
     double data_largest = 0;
     for (std::size_t b : sizes) {
         EteResult r;
-        run_ete(b, KernelMode::vectorized, trials, r);
+        run_ete(b, trials, r);
         const double gbps = data_GBps(r, b);
         std::printf("  sweep   %6zu MiB  %7.2f GB/s data phase  (median wall %.4f s)\n", b >> 20,
                     gbps, r.median());
@@ -182,16 +178,6 @@ int main() {
     std::printf("  largest payload: data phase at 1/%.2f of memcpy bandwidth (target <= 2)\n",
                 ratio);
     env.set("uncompressed_data_vs_memcpy_ratio_largest", ratio);
-
-    // --- kernel-mode ablation at the largest payload -------------------------
-    for (auto [mode, name] : {std::pair{KernelMode::naive, "naive"},
-                              std::pair{KernelMode::coalesced, "coalesced"}}) {
-        EteResult r;
-        run_ete(sizes.back(), mode, trials, r);
-        std::printf("  kernel  %-10s %7.2f GB/s data phase\n", name, data_GBps(r, sizes.back()));
-        benchcommon::add_scenario(
-            env, ete_scenario(std::string("kernel_") + name + "_largest", sizes.back(), r));
-    }
 
     benchcommon::write_bench_json(env);
     return 0;

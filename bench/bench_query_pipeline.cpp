@@ -5,12 +5,9 @@
 /// every producer.
 ///
 /// Scenarios (same run, same data):
-///   serial_uncached_naive    the pre-optimization plane: one request in
-///                            flight at a time, intersect round on every
-///                            read, per-row binary-search kernels
-///   pipelined_uncached       pipelining + vectorized kernels, cache off
-///   pipelined_cached         the full plane; repeated reads skip the
-///                            intersect round
+///   pipelined_cached         the query plane: intersect queries issued up
+///                            front, replies drained in arrival order, and
+///                            repeated reads skip the intersect round
 ///   concurrent_readers_during_publish  the MVCC serve plane: producers
 ///                            rewrite the file while consumers read
 ///                            concurrently (background serve); every
@@ -75,9 +72,7 @@ diy::Bounds consumer_block(int r) {
 
 /// One trial: returns the barrier-bounded wall time of the consume phase
 /// (open + reads_per_open reads + close, overlapped with producer serving).
-double run_trial(bool pipelined, bool cached, KernelMode kernels, ScenarioResult* stats_sink) {
-    set_selection_kernel_mode(kernels);
-
+double run_trial(ScenarioResult* stats_sink) {
     double  seconds = 0.0;
     Options opts;
     opts.mode = workflow::Mode::in_situ();
@@ -107,9 +102,6 @@ double run_trial(bool pipelined, bool cached, KernelMode kernels, ScenarioResult
              }},
             {"consumer", ncons,
              [&](Context& ctx) {
-                 ctx.vol->set_pipelining(pipelined);
-                 ctx.vol->set_query_cache(cached);
-
                  const auto mine = consumer_block(ctx.rank());
                  Dataspace  sel({dim_x, dim_y, dim_z});
                  sel.select_box(mine);
@@ -134,7 +126,6 @@ double run_trial(bool pipelined, bool cached, KernelMode kernels, ScenarioResult
         },
         {Link{0, 1, "*"}}, opts);
 
-    set_selection_kernel_mode(KernelMode::vectorized);
     return seconds;
 }
 
@@ -179,9 +170,6 @@ double run_concurrent_trial(ScenarioResult* stats_sink) {
              }},
             {"consumer", ncons,
              [&](Context& ctx) {
-                 ctx.vol->set_pipelining(true);
-                 ctx.vol->set_query_cache(true);
-
                  const auto mine = consumer_block(ctx.rank());
                  Dataspace  sel({dim_x, dim_y, dim_z});
                  sel.select_box(mine);
@@ -222,12 +210,10 @@ double run_concurrent_trial(ScenarioResult* stats_sink) {
     return seconds;
 }
 
-ScenarioResult run_scenario(const std::string& label, int trials, bool pipelined, bool cached,
-                            KernelMode kernels = KernelMode::vectorized) {
+ScenarioResult run_scenario(const std::string& label, int trials) {
     ScenarioResult res;
     res.label = label;
-    for (int t = 0; t < trials; ++t)
-        res.seconds.push_back(run_trial(pipelined, cached, kernels, &res));
+    for (int t = 0; t < trials; ++t) res.seconds.push_back(run_trial(&res));
     std::printf("  %-24s median %.4f s  (intersects/rank %llu, cache hits %llu)\n", label.c_str(),
                 res.median(),
                 static_cast<unsigned long long>(res.counter("n_intersect_queries")),
@@ -247,7 +233,7 @@ ScenarioResult run_concurrent_scenario(int trials) {
     return res;
 }
 
-void emit_json(const std::vector<ScenarioResult>& results, double speedup, int trials) {
+void emit_json(const std::vector<ScenarioResult>& results, int trials) {
     auto env = benchcommon::bench_envelope("query_pipeline", dim_x * dim_y * dim_z * 8 / nprod,
                                            trials);
     env.set("grid", obs::json::Value{obs::json::Array{
@@ -260,7 +246,6 @@ void emit_json(const std::vector<ScenarioResult>& results, double speedup, int t
         sc.set("wall_last_trial_seconds", r.last_wall);
         benchcommon::add_scenario(env, std::move(sc));
     }
-    env.set("speedup_pipelined_cached_vs_serial_uncached_naive", speedup);
     benchcommon::write_bench_json(env);
 }
 
@@ -278,16 +263,8 @@ int main() {
                 trials);
 
     std::vector<ScenarioResult> results;
-    results.push_back(run_scenario("serial_uncached_naive", trials,
-                                   /*pipelined=*/false, /*cached=*/false, KernelMode::naive));
-    results.push_back(run_scenario("pipelined_uncached", trials,
-                                   /*pipelined=*/true, /*cached=*/false));
-    results.push_back(run_scenario("pipelined_cached", trials,
-                                   /*pipelined=*/true, /*cached=*/true));
+    results.push_back(run_scenario("pipelined_cached", trials));
     results.push_back(run_concurrent_scenario(trials));
-
-    const double speedup = results.front().median() / results[2].median();
-    std::printf("speedup (pipelined_cached vs serial_uncached_naive): %.2fx\n", speedup);
-    emit_json(results, speedup, trials);
+    emit_json(results, trials);
     return 0;
 }

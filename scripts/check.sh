@@ -101,8 +101,9 @@ L5_DATA_THREADS=3 L5_PAR_THRESHOLD=1024 \
 # serve-engine sweep: every producer answers requests on its serve
 # thread, so a sync close, serve_all and drop_file each wait on that
 # thread (and sync opens are parked until a close waits) — both serving
-# modes must stay hang-free and byte-correct under seeded schedules
-for t in test_async_serve test_query_pipeline; do
+# modes must stay hang-free and byte-correct under seeded schedules, and
+# the serve loop must drop an unknown op and keep serving
+for t in test_async_serve test_query_pipeline test_protocol; do
     ./build/tools/mh5sched --seeds 1:5 --timeout 120 --jobs "$jobs" --check --race \
         -- "./build/tests/$t" --gtest_brief=1
     ./build/tools/mh5sched --seeds 1:5 --policy pct --depth 3 --timeout 120 --jobs "$jobs" --check --race \
@@ -119,13 +120,14 @@ if [[ $tsan -eq 1 ]]; then
     # abort/deadline/fault-injection hang-regression suite, the
     # deterministic scheduler (cooperative handoffs + replay corpus),
     # the selection kernels and aliased replies (consumers reading
-    # producer buffers across threads), and the MVCC snapshot store
-    # (lock-free pins racing publish/GC)
+    # producer buffers across threads), the MVCC snapshot store
+    # (lock-free pins racing publish/GC), and the wire protocol's
+    # serve-loop test
     # scripts/tsan.supp silences the libstdc++ _Sp_atomic artifact (see
     # the file header); everything else still fails the run
     TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp" \
         ctest --test-dir build-tsan --output-on-failure --no-tests=error --timeout 300 -j "$jobs" \
-          -R 'Simmpi|AsyncServe|QueryPipeline|DistVol|Telemetry|FaultInjection|Sched|Kern|ZeroCopy|Stream|Mvcc|Snapshot'
+          -R 'Simmpi|AsyncServe|QueryPipeline|DistVol|Telemetry|FaultInjection|Sched|Kern|ZeroCopy|Stream|Mvcc|Snapshot|Protocol'
 fi
 
 if [[ $ubsan -eq 1 ]]; then

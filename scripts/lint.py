@@ -19,7 +19,7 @@ non-atomic-toggle
             globals (`bool g_verbose`, `int g_mode`, ...): they are read
             and flipped across rank threads, which is a data race under
             TSan and the deterministic scheduler. Use std::atomic with
-            explicit memory order (see h5::g_kernel_mode), or guard the
+            explicit memory order (see h5::par's enabled flag), or guard the
             state with a mutex. const/constexpr and thread_local globals
             are exempt — they are not shared mutable state.
 raw-step-index

@@ -7,7 +7,6 @@
 #include <obs/trace.hpp>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <numeric>
 
@@ -28,35 +27,7 @@ std::vector<Run> collect_runs_uncoalesced(const Dataspace& space) {
     return runs;
 }
 
-// process-wide toggle: one atomic, never a bare global (see scripts/lint.py)
-std::atomic<int> g_kernel_mode{static_cast<int>(KernelMode::vectorized)};
-
 } // namespace
-
-void set_selection_kernel_mode(KernelMode mode) {
-    g_kernel_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-KernelMode selection_kernel_mode() {
-    return static_cast<KernelMode>(g_kernel_mode.load(std::memory_order_relaxed));
-}
-
-const char* kernel_mode_name(KernelMode mode) {
-    switch (mode) {
-        case KernelMode::naive: return "naive";
-        case KernelMode::coalesced: return "coalesced";
-        case KernelMode::vectorized: return "vectorized";
-    }
-    return "?";
-}
-
-void set_naive_selection_kernels(bool enable) {
-    set_selection_kernel_mode(enable ? KernelMode::naive : KernelMode::vectorized);
-}
-
-bool naive_selection_kernels() {
-    return selection_kernel_mode() == KernelMode::naive;
-}
 
 std::vector<SelRun> selection_runs(const Dataspace& space) {
     return space.runs();
@@ -404,7 +375,7 @@ void run_segments(std::byte* dst, const std::byte* src, const std::vector<kern::
 // pack/unpack have no lookup side (one selection, both layouts known), so
 // there is nothing to merge: emit one segment per coalesced run and let
 // the segment runner pick the copy width and fan-out. Byte-identical to
-// the old per-run memcpy loop in every kernel mode.
+// the old per-run memcpy loop.
 
 void pack_selection(const Dataspace& space, const void* full, std::size_t elem, void* packed) {
     const auto* src = static_cast<const std::byte*>(full);
@@ -458,8 +429,7 @@ void copy_selected(const Dataspace& src_space, const void* src, const Dataspace&
 
 // --- vectorized segment runner -----------------------------------------------
 //
-// The merges materialize a flat segment list {dst, src, len}; outside
-// coalesced mode (a plain memcpy per segment) the list goes to the
+// The merges materialize a flat segment list {dst, src, len} for the
 // width-specialized kern:: copy kernels. Above the h5::par threshold the
 // list is split into ~equal-byte chunks (cutting large segments, so a
 // single slab-on-slab run still fans out) and executed across the pool —
@@ -560,23 +530,35 @@ std::vector<kern::Seg> plan_merge(std::span<const Run> src_runs, const Dataspace
     return segs;
 }
 
-/// Plan, then copy: coalesced mode keeps one plain memcpy per segment,
-/// the other modes run the width-specialized kernels and the pool fan-out.
+/// Plan, then copy through the width-specialized kernels and the pool
+/// fan-out.
 void merge(std::span<const Run> src_runs, const void* src, const Dataspace& sub,
-           std::span<const Run> dst_runs, void* dst, std::size_t elem, KernelMode mode) {
-    const auto  segs = plan_merge(src_runs, sub, dst_runs, elem);
-    auto*       d    = static_cast<std::byte*>(dst);
-    const auto* s    = static_cast<const std::byte*>(src);
-    if (mode == KernelMode::coalesced) {
-        for (const auto& seg : segs) std::memcpy(d + seg.dst, s + seg.src, seg.len);
-        return;
-    }
-    run_segments(d, s, segs, sub.npoints() * elem);
+           std::span<const Run> dst_runs, void* dst, std::size_t elem) {
+    run_segments(static_cast<std::byte*>(dst), static_cast<const std::byte*>(src),
+                 plan_merge(src_runs, sub, dst_runs, elem), sub.npoints() * elem);
 }
 
-void extract_via_mapping_vec(const Dataspace& filespace, const Dataspace& memspace,
-                             const void* membuf, const Dataspace& want, std::size_t elem,
-                             std::vector<std::byte>& out) {
+} // namespace
+
+// --- fused gather-scatter merge ----------------------------------------------
+//
+// Every packed-to-packed copy is one forward merge over runs sorted by
+// file offset: the selection being moved, where the source holds it, and
+// where the destination wants it. A slab-on-slab transfer degenerates to
+// one segment. Extract and scatter are the two special cases where one
+// side is laid out as the moved selection itself.
+
+void gather_scatter(std::span<const SelRun> src_runs, const void* src, const Dataspace& sub,
+                    std::span<const SelRun> dst_runs, void* dst, std::size_t elem) {
+    obs::Span span("gather_scatter", "h5.kernel", {{"bytes", sub.npoints() * elem, nullptr}});
+    merge(src_runs, src, sub, dst_runs, dst, elem);
+}
+
+void extract_via_mapping(const Dataspace& filespace, const Dataspace& memspace,
+                         const void* membuf, const Dataspace& want, std::size_t elem,
+                         std::vector<std::byte>& out) {
+    obs::Span span("extract_via_mapping", "h5.kernel",
+                   {{"bytes", want.npoints() * elem, nullptr}});
     if (filespace.npoints() != memspace.npoints())
         throw Error("h5: extract_via_mapping: filespace/memspace sizes differ");
 
@@ -589,6 +571,8 @@ void extract_via_mapping_vec(const Dataspace& filespace, const Dataspace& memspa
     out.resize(base + bytes);
     auto* dst = out.data() + base;
 
+    // enumeration position -> memory buffer offset; positions are not
+    // monotonic across want runs, so the memory side keeps a binary search
     auto mem_locate = [&](std::uint64_t pos, std::uint64_t& buf_off, std::uint64_t& avail) {
         auto it = std::upper_bound(mruns.begin(), mruns.end(), pos,
                                    [](std::uint64_t v, const Run& r) { return v < r.packed_off; });
@@ -623,25 +607,6 @@ void extract_via_mapping_vec(const Dataspace& filespace, const Dataspace& memspa
         }
     }
     run_segments(dst, src, segs, bytes);
-}
-
-} // namespace
-
-// --- fused gather-scatter merge ----------------------------------------------
-//
-// Every packed-to-packed copy is one forward merge over runs sorted by
-// file offset: the selection being moved, where the source holds it, and
-// where the destination wants it. A slab-on-slab transfer degenerates to
-// one segment. Extract and scatter are the two special cases where one
-// side is laid out as the moved selection itself.
-
-void gather_scatter(std::span<const SelRun> src_runs, const void* src, const Dataspace& sub,
-                    std::span<const SelRun> dst_runs, void* dst, std::size_t elem) {
-    const KernelMode mode = selection_kernel_mode();
-    obs::Span span("gather_scatter", "h5.kernel",
-                   {{"bytes", sub.npoints() * elem, nullptr},
-                    {"mode", 0, kernel_mode_name(mode)}});
-    merge(src_runs, src, sub, dst_runs, dst, elem, mode);
 }
 
 LocatedIntersection intersect_located(const Dataspace& piece, const Dataspace& query,
@@ -739,92 +704,26 @@ std::vector<SelRun> located_runs(const Dataspace& sub, std::span<const PackedBox
 
 void extract_from_packed(const Dataspace& piece_space, const void* piece_packed,
                          const Dataspace& want, std::size_t elem, std::vector<std::byte>& out) {
-    const KernelMode mode = selection_kernel_mode();
     obs::Span span("extract_from_packed", "h5.kernel",
-                   {{"bytes", want.npoints() * elem, nullptr},
-                    {"mode", 0, kernel_mode_name(mode)}});
-    if (mode == KernelMode::naive)
-        return extract_from_packed_naive(piece_space, piece_packed, want, elem, out);
+                   {{"bytes", want.npoints() * elem, nullptr}});
     const auto base = out.size();
     out.resize(base + want.npoints() * elem);
     merge(piece_space.runs_by_file(), piece_packed, want, want.runs_by_file(), out.data() + base,
-          elem, mode);
+          elem);
 }
 
 void scatter_into_packed(const Dataspace& dest_space, void* dest_packed, const Dataspace& sub,
                          const void* sub_packed, std::size_t elem) {
-    const KernelMode mode = selection_kernel_mode();
     obs::Span span("scatter_into_packed", "h5.kernel",
-                   {{"bytes", sub.npoints() * elem, nullptr},
-                    {"mode", 0, kernel_mode_name(mode)}});
-    if (mode == KernelMode::naive)
-        return scatter_into_packed_naive(dest_space, dest_packed, sub, sub_packed, elem);
-    merge(sub.runs_by_file(), sub_packed, sub, dest_space.runs_by_file(), dest_packed, elem, mode);
-}
-
-void extract_via_mapping(const Dataspace& filespace, const Dataspace& memspace,
-                         const void* membuf, const Dataspace& want, std::size_t elem,
-                         std::vector<std::byte>& out) {
-    const KernelMode mode = selection_kernel_mode();
-    obs::Span span("extract_via_mapping", "h5.kernel",
-                   {{"bytes", want.npoints() * elem, nullptr},
-                    {"mode", 0, kernel_mode_name(mode)}});
-    if (mode == KernelMode::naive)
-        return extract_via_mapping_naive(filespace, memspace, membuf, want, elem, out);
-    if (mode == KernelMode::vectorized)
-        return extract_via_mapping_vec(filespace, memspace, membuf, want, elem, out);
-
-    if (filespace.npoints() != memspace.npoints())
-        throw Error("h5: extract_via_mapping: filespace/memspace sizes differ");
-
-    const auto& fruns = filespace.runs_by_file();
-    const auto& mruns = memspace.runs(); // increasing packed_off by construction
-
-    const auto* src  = static_cast<const std::byte*>(membuf);
-    const auto  base = out.size();
-    out.resize(base + want.npoints() * elem);
-    auto* dst = out.data() + base;
-
-    // enumeration position -> memory buffer offset; positions are not
-    // monotonic across want runs, so the memory side keeps a binary search
-    auto mem_locate = [&](std::uint64_t pos, std::uint64_t& buf_off, std::uint64_t& avail) {
-        auto it = std::upper_bound(mruns.begin(), mruns.end(), pos,
-                                   [](std::uint64_t v, const Run& r) { return v < r.packed_off; });
-        if (it == mruns.begin()) throw Error("h5: extract_via_mapping: bad enumeration position");
-        --it;
-        std::uint64_t within = pos - it->packed_off;
-        if (within >= it->len) throw Error("h5: extract_via_mapping: bad enumeration position");
-        buf_off = it->file_off + within;
-        avail   = it->len - within;
-    };
-
-    std::size_t fi = 0;
-    for (const auto& w : want.runs_by_file()) {
-        std::uint64_t copied = 0;
-        while (copied < w.len) {
-            const std::uint64_t target = w.file_off + copied;
-            while (fi < fruns.size() && fruns[fi].file_off + fruns[fi].len <= target) ++fi;
-            if (fi == fruns.size() || fruns[fi].file_off > target)
-                throw Error("h5: extract_via_mapping: requested element not covered");
-            const std::uint64_t within  = target - fruns[fi].file_off;
-            const std::uint64_t avail_f = fruns[fi].len - within;
-            const std::uint64_t pos     = fruns[fi].packed_off + within;
-
-            std::uint64_t buf_off = 0, avail_m = 0;
-            mem_locate(pos, buf_off, avail_m);
-
-            const std::uint64_t take = std::min({avail_f, avail_m, w.len - copied});
-            std::memcpy(dst + (w.packed_off + copied) * elem, src + buf_off * elem, take * elem);
-            copied += take;
-        }
-    }
+                   {{"bytes", sub.npoints() * elem, nullptr}});
+    merge(sub.runs_by_file(), sub_packed, sub, dest_space.runs_by_file(), dest_packed, elem);
 }
 
 // --- naive reference kernels -------------------------------------------------
 //
 // The pre-coalescing implementations: rebuild the (uncoalesced) run list
 // on every call and binary-search it per walked row. Kept byte-compatible
-// as the property-test oracle and the benchmark baseline.
+// as the property-test oracle.
 
 void extract_from_packed_naive(const Dataspace& piece_space, const void* piece_packed,
                                const Dataspace& want, std::size_t elem,

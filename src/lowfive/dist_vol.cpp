@@ -35,39 +35,6 @@ public:
 
 namespace {
 
-enum class Op : std::uint8_t {
-    MetadataQuery  = 1,
-    IntersectQuery = 2,
-    DataQuery      = 3,
-    Done           = 4,
-    // streaming protocol (see DESIGN.md § Streaming transport): the
-    // consumer task's rank 0 asks producer rank 0 (the coordinator) for
-    // the next step, pins it on every other producer rank, and releases
-    // all pins once every consumer rank finished reading the step
-    StepNext    = 5, ///< consumer rank 0 → coordinator: grant next step >= min
-    StepPin     = 6, ///< consumer rank 0 → other producer ranks: pin granted step
-    StepRelease = 7, ///< consumer rank 0 → every producer rank: drop one pin
-    StreamDone  = 8, ///< consumer rank 0 → every producer rank: task unsubscribed
-};
-
-constexpr int rpc_request    = 901;
-constexpr int rpc_reply      = 902; ///< metadata / intersect replies
-constexpr int rpc_ready      = 903;
-constexpr int rpc_data_reply = 904; ///< data-query replies (separate tag so
-                                    ///< eagerly issued data queries cannot
-                                    ///< match the intersect drain)
-
-void send_buffer(const simmpi::Comm& ic, int dest, int tag, diy::BinaryBuffer&& bb) {
-    ic.send(dest, tag, std::move(bb).take());
-}
-
-diy::BinaryBuffer recv_buffer(const simmpi::Comm& ic, int src, int tag, int* from = nullptr) {
-    std::vector<std::byte> raw;
-    auto                   st = ic.recv(src, tag, raw);
-    if (from) *from = st.source;
-    return diy::BinaryBuffer(std::move(raw));
-}
-
 /// Collect (path, dataset node) pairs in deterministic DFS order.
 void collect_datasets(Object* obj, std::vector<std::pair<std::string, Object*>>& out) {
     if (obj->kind == ObjectKind::Dataset) out.emplace_back(obj->path(), obj);
@@ -88,7 +55,7 @@ DistMetadataVol::DistMetadataVol(simmpi::Comm local, h5::VolPtr passthru_vol)
     // claim the RPC control-tag range for the checker: user traffic on
     // these tags elsewhere is a collision, and the serve loop's any-source
     // request/reply drains are an order-insensitive protocol by design
-    local_.check_reserve_tags(rpc_request, rpc_data_reply, "dist_vol");
+    local_.check_reserve_tags(wire::tag_request, wire::tag_data_reply, "dist_vol");
     // arm the serve-lock-after-pin lint alongside the MPI-semantics
     // checker: checked runs also verify the query path stays lock-free
     if (l5check::CheckConfig::from_env()) mvcc::set_lock_lint(true);
@@ -160,21 +127,19 @@ void DistMetadataVol::serve_loop() {
         std::vector<simmpi::Comm> idle;
         idle.reserve(serve_conns_.size() + 1);
         for (const auto& c : serve_conns_) idle.push_back(c.ic.with_deadline(0));
-        idle.push_back(local_.with_deadline(0)); // self-sends: shutdown and replay nudges
+        idle.push_back(local_.with_deadline(0)); // self-signals: shutdown and replay
         std::vector<const simmpi::Comm*> comms;
         comms.reserve(idle.size());
         for (const auto& c : idle) comms.push_back(&c);
 
         for (;;) {
             std::size_t which = 0;
-            auto st = simmpi::Comm::probe_any(comms, simmpi::any_source, rpc_request, &which);
+            auto st = simmpi::Comm::probe_any(comms, simmpi::any_source, wire::tag_request, &which);
             if (which + 1 == comms.size()) {
-                std::vector<std::byte> raw;
-                local_.recv(st.source, rpc_request, raw);
-                if (raw.empty()) return; // shutdown signal
-                // deferred-retry nudge: a producer-thread publish parked
-                // work for us; replay it here so request handling (and
-                // its replies) stays single-threaded
+                if (wire::recv_signal(local_, st.source) == wire::Signal::shutdown) return;
+                // a producer-thread publish parked work for us; replay it
+                // here so request handling (and its replies) stays
+                // single-threaded
                 std::vector<Deferred> pending;
                 {
                     Guard lock(local_.scheduler(), mutex_, "serve/deferred");
@@ -182,15 +147,20 @@ void DistMetadataVol::serve_loop() {
                     pending = std::move(deferred_);
                     deferred_.clear();
                 }
-                for (auto& d : pending)
-                    handle_request(serve_conns_[d.conn], d.src, std::move(d.payload));
+                for (auto& d : pending) {
+                    obs::ScopedTimerNs timer(c_t_serve_ns_);
+                    handle_request(serve_conns_[d.conn], d.src, std::move(d.request));
+                }
                 continue;
             }
             auto& conn = serve_conns_[which];
-            auto  bb   = recv_buffer(conn.ic, st.source, rpc_request);
-            // no lock here: handle_request pins a snapshot for the query
-            // ops and takes the Guard itself only for control ops
-            handle_request(conn, st.source, std::move(bb).take());
+            auto  raw  = wire::recv_buffer(conn.ic, st.source, wire::tag_request);
+            // decoding counts as serve time; an op no request has is
+            // dropped. No lock here: handle_request pins a snapshot for
+            // the query ops and takes the Guard itself only for control ops
+            obs::ScopedTimerNs timer(c_t_serve_ns_);
+            if (auto req = wire::decode_request(raw))
+                handle_request(conn, st.source, std::move(*req));
         }
     } catch (...) {
         {
@@ -235,7 +205,7 @@ void DistMetadataVol::finish_serving() {
         }
         if (!serve_died) {
             try {
-                local_.send(local_.rank(), rpc_request, nullptr, 0); // shutdown signal
+                wire::signal_self(local_, wire::Signal::shutdown);
             } catch (...) {
                 // the send can only fail when the world was aborted under
                 // us; the same poison has already woken the serve thread
@@ -304,17 +274,13 @@ void DistMetadataVol::drop_file(const std::string& name) {
     MetadataVol::drop_file(name);
 }
 
-void DistMetadataVol::invalidate_producer_cache(const std::string& file) {
-    producer_cache_.erase(file);
-}
-
 void DistMetadataVol::serve_to(simmpi::Comm intercomm, std::string pattern) {
-    intercomm.check_reserve_tags(rpc_request, rpc_data_reply, "dist_vol");
+    intercomm.check_reserve_tags(wire::tag_request, wire::tag_data_reply, "dist_vol");
     serve_conns_.push_back({std::move(intercomm), std::move(pattern)});
 }
 
 void DistMetadataVol::consume_from(simmpi::Comm intercomm, std::string pattern) {
-    intercomm.check_reserve_tags(rpc_request, rpc_data_reply, "dist_vol");
+    intercomm.check_reserve_tags(wire::tag_request, wire::tag_data_reply, "dist_vol");
     consume_conns_.push_back({std::move(intercomm), std::move(pattern)});
 }
 
@@ -402,40 +368,31 @@ void DistMetadataVol::wait_owed_locked(simmpi::detail::CoopLock<std::mutex>& loc
         L5_SHARED_WRITE(this, "serve_error_", site);
         serve_error_ = std::make_exception_ptr(simmpi::TimeoutError(ms, site, -1, -1));
         if (serve_thread_.joinable())
-            local_.send(local_.rank(), rpc_request, nullptr, 0); // shutdown signal
+            wire::signal_self(local_, wire::Signal::shutdown);
     }
     if (serve_error_) std::rethrow_exception(serve_error_);
 }
 
-void DistMetadataVol::handle_request(Conn& conn, int src, std::vector<std::byte>&& payload) {
-    obs::ScopedTimerNs timer(c_t_serve_ns_);
-    diy::BinaryBuffer bb{std::move(payload)};
-    const auto        op = bb.load<std::uint8_t>();
-
-    switch (static_cast<Op>(op)) {
-    case Op::IntersectQuery:
-    case Op::DataQuery:
+void DistMetadataVol::handle_request(Conn& conn, int src, wire::Request&& req) {
+    if (std::holds_alternative<wire::IntersectQuery>(req)
+        || std::holds_alternative<wire::DataQuery>(req)) {
         // query hot path: answered from a pinned MVCC snapshot, no
         // serve-mutex acquisition (the serve-lock-after-pin lint enforces
         // this under L5_CHECK)
-        handle_read_request(conn, src, std::move(bb), op);
-        break;
-    default:
-        // control path: mutates publish/teardown state under mutex_,
-        // which the owed waits watch
-        handle_control_request(conn, src, std::move(bb), op);
-        notify_dones();
-        break;
+        handle_read_request(conn, src, std::move(req));
+        return;
     }
+    // control path: mutates publish/teardown state under mutex_, which
+    // the owed waits watch
+    handle_control_request(conn, src, std::move(req));
+    notify_dones();
 }
 
-void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer&& bb,
-                                          std::uint8_t op) {
-    const auto  req_id = bb.load<std::uint64_t>();
-    std::string name, dset;
-    bb.load(name);
-    bb.load(dset);
-    const auto version = bb.load<std::uint64_t>();
+void DistMetadataVol::handle_read_request(Conn& conn, int src, wire::Request&& req) {
+    const auto*         iq      = std::get_if<wire::IntersectQuery>(&req);
+    const auto*         dq      = std::get_if<wire::DataQuery>(&req);
+    const std::string&  name    = iq ? iq->name : dq->name;
+    const std::uint64_t version = iq ? iq->version : dq->version;
 
     // pin the exact version the consumer opened: a rewrite racing this
     // query supersedes the current snapshot but cannot free the pinned
@@ -453,7 +410,7 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
         if (!cur || cur->version() < version) {
             cur.release();
             // park under the vol mutex and RE-CHECK there: a publish
-            // installs the snapshot and fires the deferred-retry nudge
+            // installs the snapshot and fires the replay signal
             // while holding this mutex, so without the re-check the
             // publish could slip between our lock-free miss and the
             // park — a lost wakeup that leaves the request parked
@@ -467,7 +424,7 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
                     const std::size_t conn_idx =
                         static_cast<std::size_t>(&conn - serve_conns_.data());
                     L5_SHARED_WRITE(this, "deferred_", "serve/defer-read");
-                    deferred_.push_back({conn_idx, src, std::move(bb).take()});
+                    deferred_.push_back({conn_idx, src, std::move(req)});
                     return;
                 }
                 snap = std::move(cur); // version GC'd past: current is consistent
@@ -478,38 +435,31 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
     }
     if (!snap) snap = snapshots_.pin(name);
 
-    if (static_cast<Op>(op) == Op::IntersectQuery) {
+    if (iq) {
         obs::Span span("serve.intersect", "lowfive",
                        {{"src", static_cast<std::uint64_t>(src), nullptr}});
-        diy::Bounds qbb = diy::Bounds::load(bb);
-
-        std::vector<std::int32_t> ranks;
+        wire::IntersectReply reply{iq->req_id, {}};
+        auto&                ranks = reply.ranks;
         if (snap) {
             mvcc::ReadSection section;
-            if (const auto* entries = snap->index_for(dset))
+            if (const auto* entries = snap->index_for(iq->dset))
                 for (const auto& [ibb, rank] : *entries)
-                    if (diy::intersects(ibb, qbb)) ranks.push_back(rank);
+                    if (diy::intersects(ibb, iq->bounds)) ranks.push_back(rank);
         }
         std::sort(ranks.begin(), ranks.end());
         ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-
-        diy::BinaryBuffer reply;
-        reply.save(req_id);
-        reply.save(ranks);
-        send_buffer(conn.ic, src, rpc_reply, std::move(reply));
+        wire::send(conn.ic, src, reply);
         return;
     }
 
     {
         obs::Span span("serve.data", "lowfive",
                        {{"src", static_cast<std::uint64_t>(src), nullptr}});
-        Dataspace fs = Dataspace::load(bb);
-
         if (!snap) throw Error("lowfive: data query for unknown file '" + name + "'");
         mvcc::ReadSection section;
-        Object*           node = snap->root()->resolve(dset);
+        Object*           node = snap->root()->resolve(dq->dset);
         if (!node || node->kind != ObjectKind::Dataset)
-            throw Error("lowfive: data query for unknown dataset '" + dset + "'");
+            throw Error("lowfive: data query for unknown dataset '" + dq->dset + "'");
         const std::size_t elem = node->type.size();
 
         // intersect each piece with the query exactly once, keeping the
@@ -523,30 +473,32 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
         };
         std::vector<Hit> hits;
         for (const auto& piece : node->pieces) {
-            auto [sub, where] = h5::intersect_located(piece.filespace, fs, node->space.dims());
+            auto [sub, where] =
+                h5::intersect_located(piece.filespace, dq->filespace, node->space.dims());
             if (!where.empty()) hits.push_back({&piece, std::move(sub), std::move(where)});
         }
 
         diy::BinaryBuffer reply;
-        reply.save(req_id);
-        reply.save<std::uint64_t>(hits.size());
+        wire::encode(reply, wire::DataReplyHead{dq->req_id, hits.size()});
         std::uint64_t served = 0;
-        // pieces served without any copy: the reply header records u8 2
-        // and the piece's packed buffer follows as its own aliased
-        // message on the same (src, tag) stream — the mailbox's
-        // non-overtaking guarantee keeps header and payloads paired
+        // pieces served without any copy: the piece's packed buffer
+        // follows the reply as its own aliased message on the same (src,
+        // tag) stream — the mailbox's non-overtaking guarantee keeps
+        // header and payloads paired
         std::vector<simmpi::SharedPayload> zc;
         for (auto& [piece, sub, where] : hits) {
-            sub.save(reply);
             const std::uint64_t nbytes = sub.npoints() * elem;
-            reply.save(nbytes);
             // zero-copy eligibility: the piece owns a packed copy (Deep)
             // and the query wants enough of it to pay for a second
             // message — whole piece or not
-            const std::vector<std::byte>* packed = piece->packed_bytes();
-            if (packed && nbytes >= zero_copy_min_bytes_) {
-                reply.save<std::uint8_t>(2);
-                save_aliased_header(reply, where);
+            const std::vector<std::byte>* packed  = piece->packed_bytes();
+            const bool                    aliased = packed && nbytes >= zero_copy_min_bytes_;
+            const wire::PieceHead         head{
+                std::move(sub), nbytes,
+                aliased ? wire::PieceEncoding::aliased : wire::PieceEncoding::inline_bytes};
+            wire::encode(reply, head);
+            if (aliased) {
+                wire::save_aliased_header(reply, where);
                 // owning alias: the payload shares the snapshot's
                 // lifetime, so the piece's bytes stay valid on the wire
                 // even if the version is superseded and GC'd while the
@@ -556,33 +508,23 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, diy::BinaryBuffer
                 c_zero_copy_pieces_.inc();
             } else {
                 // extract straight into the reply buffer: no intermediate copy
-                reply.save<std::uint8_t>(0);
-                piece->extract(sub, elem, reply.mutable_data());
+                piece->extract(head.sub, elem, reply.mutable_data());
             }
             served += nbytes;
         }
         c_bytes_served_.add(served);
         span.end_arg("bytes", served);
-        send_buffer(conn.ic, src, rpc_data_reply, std::move(reply));
-        // zero-copy payloads follow the header in piece order
-        for (auto& p : zc) conn.ic.send_shared(src, rpc_data_reply, std::move(p));
+        wire::send_data_reply(conn.ic, src, std::move(reply), std::move(zc));
     }
 }
 
-void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuffer&& bb,
-                                             std::uint8_t op) {
-    Guard lock(local_.scheduler(), mutex_, "serve/control");
+void DistMetadataVol::handle_control_request(Conn& conn, int src, wire::Request&& req) {
+    Guard             lock(local_.scheduler(), mutex_, "serve/control");
+    const std::size_t conn_idx = static_cast<std::size_t>(&conn - serve_conns_.data());
 
-    switch (static_cast<Op>(op)) {
-    case Op::IntersectQuery:
-    case Op::DataQuery:
-        throw Error("lowfive: query op routed to the control handler");
-    case Op::Done: {
+    if (const auto* done = std::get_if<wire::Done>(&req)) {
         obs::instant("serve.done", "lowfive",
                      {{"src", static_cast<std::uint64_t>(src), nullptr}});
-        std::string name;
-        bb.load(name);
-        const auto version = bb.load<std::uint64_t>();
         L5_SHARED_WRITE(this, "dones_", "serve/done");
         ++dones_received_;
         // release this (connection, rank, file)'s round pins for every
@@ -592,26 +534,21 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         // version itself may be reopened by the very next round (a
         // consumer outpacing the producer), so its pin stays until a
         // later Done names a newer version (or teardown clears it).
-        const std::size_t conn_idx = static_cast<std::size_t>(&conn - serve_conns_.data());
         L5_SHARED_WRITE(this, "round_pins_", "serve/done");
-        if (auto rit = round_pins_.find({conn_idx, src, name}); rit != round_pins_.end()) {
+        if (auto rit = round_pins_.find({conn_idx, src, done->name}); rit != round_pins_.end()) {
             auto& pins = rit->second;
             pins.erase(std::remove_if(pins.begin(), pins.end(),
                                       [&](const mvcc::SnapshotPin& p) {
-                                          return p && p->version() < version;
+                                          return p && p->version() < done->version;
                                       }),
                        pins.end());
             if (pins.empty()) round_pins_.erase(rit);
         }
-        break;
-    }
-    case Op::MetadataQuery: {
-        obs::Span   span("serve.metadata", "lowfive",
-                         {{"src", static_cast<std::uint64_t>(src), nullptr}});
-        std::string name;
-        bb.load(name);
-        auto it   = files_.find(name);
-        auto snap = snapshots_.pin(name);
+    } else if (const auto* meta = std::get_if<wire::MetadataQuery>(&req)) {
+        obs::Span span("serve.metadata", "lowfive",
+                       {{"src", static_cast<std::uint64_t>(src), nullptr}});
+        auto      it   = files_.find(meta->name);
+        auto      snap = snapshots_.pin(meta->name);
         // sync serving answers an open only while a close waits on its
         // round, so the open pairs with that close and never reads the
         // round before it
@@ -619,121 +556,89 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, diy::BinaryBuf
         L5_SHARED_READ(this, "dones_", "serve/metadata");
         const bool closing = background_ || dones_received_ < dones_expected_;
         if (it == files_.end() || !it->second.root || it->second.writable || !snap || !closing) {
-            // consumer ran ahead of the producer: park the request as
-            // received (take() returns the whole payload, op byte
-            // included) and retry after the next close
-            std::size_t conn_idx =
-                static_cast<std::size_t>(&conn - serve_conns_.data());
+            // consumer ran ahead of the producer: park the request and
+            // retry after the next close
             L5_SHARED_WRITE(this, "deferred_", "serve/metadata");
-            deferred_.push_back({conn_idx, src, std::move(bb).take()});
-            break;
+            deferred_.push_back({conn_idx, src, std::move(req)});
+            return;
         }
         // reply from the snapshot so version and skeleton are one
         // consistent publish even if a rewrite is racing us
-        diy::BinaryBuffer reply;
-        reply.save(snap->version());
-        snap->root()->save_skeleton(reply);
-        send_buffer(conn.ic, src, rpc_reply, std::move(reply));
-        break;
-    }
-    case Op::StepNext: {
-        std::string base;
-        bb.load(base);
-        const auto min_raw = bb.load<std::uint64_t>();
-        const auto latest  = bb.load<std::uint8_t>();
-
+        wire::send(conn.ic, src,
+                   wire::MetadataReply{snap->version(), {snap.shared(), snap->root()}});
+    } else if (const auto* next = std::get_if<wire::StepNext>(&req)) {
         L5_SHARED_READ(this, "streams_", "serve/step_next");
-        auto                        sit = streams_.find(base);
+        auto                        sit = streams_.find(next->base);
         stream::StepWindow::Acquire r; // default: retry_later
-        if (sit != streams_.end()) r = sit->second.acquire(stream::StepId(min_raw), latest != 0);
+        if (sit != streams_.end()) r = sit->second.acquire(stream::StepId(next->min), next->latest);
         if (r.status == stream::StepWindow::Acquire::Status::retry_later) {
             // nothing published past `min` yet and the stream is still
-            // open (or not registered yet): park the request as received;
-            // replayed after the next publish / stream begin / stream end
-            std::size_t conn_idx = static_cast<std::size_t>(&conn - serve_conns_.data());
+            // open (or not registered yet): park the request; replayed
+            // after the next publish / stream begin / stream end
             L5_SHARED_WRITE(this, "deferred_", "serve/step_next");
-            deferred_.push_back({conn_idx, src, std::move(bb).take()});
-            break;
+            deferred_.push_back({conn_idx, src, std::move(req)});
+            return;
         }
         if (r.status == stream::StepWindow::Acquire::Status::granted) {
             // the grant IS a snapshot pin: the granted step's version
             // cannot be GC'd out from under the consumer until released
-            const std::string sname = stream::step_name(base, r.step);
+            const std::string sname = stream::step_name(next->base, r.step);
             L5_SHARED_WRITE(this, "step_pins_", "serve/step_next");
             if (auto pin = snapshots_.pin(sname)) step_pins_[sname].push_back(std::move(pin));
         }
+        const std::uint64_t step = r.step.valid() ? r.step.value() : 0;
         obs::instant("serve.step_next", "lowfive",
-                     {{"src", static_cast<std::uint64_t>(src), nullptr},
-                      {"step", r.step.valid() ? r.step.value() : 0, nullptr}});
-        diy::BinaryBuffer reply;
-        reply.save<std::uint8_t>(r.status == stream::StepWindow::Acquire::Status::eos ? 1 : 0);
-        reply.save<std::uint64_t>(r.step.valid() ? r.step.value() : 0);
-        send_buffer(conn.ic, src, rpc_reply, std::move(reply));
-        break;
-    }
-    case Op::StepPin: {
-        std::string base;
-        bb.load(base);
-        const auto sv  = bb.load<std::uint64_t>();
+                     {{"src", static_cast<std::uint64_t>(src), nullptr}, {"step", step, nullptr}});
+        wire::send(conn.ic, src,
+                   wire::StepGrant{r.status == stream::StepWindow::Acquire::Status::eos, step});
+    } else if (const auto* spin = std::get_if<wire::StepPin>(&req)) {
         L5_SHARED_READ(this, "streams_", "serve/step_pin");
-        auto       sit = streams_.find(base);
-        const bool ok  = sit != streams_.end() && sit->second.pin(stream::StepId(sv));
+        auto       sit = streams_.find(spin->base);
+        const bool ok  = sit != streams_.end() && sit->second.pin(stream::StepId(spin->step));
         if (ok) {
-            const std::string sname = stream::step_name(base, stream::StepId(sv));
+            const std::string sname = stream::step_name(spin->base, stream::StepId(spin->step));
             L5_SHARED_WRITE(this, "step_pins_", "serve/step_pin");
             if (auto pin = snapshots_.pin(sname)) step_pins_[sname].push_back(std::move(pin));
         }
-        diy::BinaryBuffer reply;
-        // 2 = gone: this rank's window raced ahead and already evicted
-        // the step — the consumer rolls its pins back and retries higher
-        reply.save<std::uint8_t>(ok ? 0 : 2);
-        send_buffer(conn.ic, src, rpc_reply, std::move(reply));
-        break;
-    }
-    case Op::StepRelease: {
-        std::string base;
-        bb.load(base);
-        const auto sv       = bb.load<std::uint64_t>();
-        const auto rollback = bb.load<std::uint8_t>(); // pin rollback, not a drain
+        // gone: this rank's window raced ahead and already evicted the
+        // step — the consumer rolls its pins back and retries higher
+        wire::send(conn.ic, src,
+                   wire::PinReply{ok ? wire::PinStatus::pinned : wire::PinStatus::gone});
+    } else if (const auto* srel = std::get_if<wire::StepRelease>(&req)) {
         L5_SHARED_READ(this, "streams_", "serve/step_release");
-        auto       sit      = streams_.find(base);
+        auto sit = streams_.find(srel->base);
         if (sit == streams_.end())
-            throw Error("lowfive: step release for unknown stream '" + base + "'");
-        auto rel = sit->second.release(stream::StepId(sv));
+            throw Error("lowfive: step release for unknown stream '" + srel->base + "'");
+        auto rel = sit->second.release(stream::StepId(srel->step));
         if (!rel)
-            throw Error("lowfive: release of an unpinned step " + std::to_string(sv)
-                        + " of stream '" + base + "'");
+            throw Error("lowfive: release of an unpinned step " + std::to_string(srel->step)
+                        + " of stream '" + srel->base + "'");
         // drop the matching snapshot pin (rollback or drain alike)
-        const std::string sname = stream::step_name(base, stream::StepId(sv));
+        const std::string sname = stream::step_name(srel->base, stream::StepId(srel->step));
         L5_SHARED_WRITE(this, "step_pins_", "serve/step_release");
         if (auto pit = step_pins_.find(sname); pit != step_pins_.end()) {
             pit->second.pop_back();
             if (pit->second.empty()) step_pins_.erase(pit);
         }
-        if (rel->first_drain && !rollback) {
+        if (rel->first_drain && !srel->rollback) {
             c_steps_drained_.inc();
             h_step_latency_ns_.observe(now_ns() - rel->publish_ns);
             obs::instant("stream.drain", "lowfive",
-                         {{"stream", 0, obs::intern_if_enabled(base)}, {"step", sv, nullptr}});
+                         {{"stream", 0, obs::intern_if_enabled(srel->base)},
+                          {"step", srel->step, nullptr}});
         }
-        stream_room_locked(base, sit->second);
-        break;
-    }
-    case Op::StreamDone: {
-        std::string base;
-        bb.load(base);
+        stream_room_locked(srel->base, sit->second);
+    } else if (const auto* sdone = std::get_if<wire::StreamDone>(&req)) {
         L5_SHARED_READ(this, "streams_", "serve/stream_done");
-        auto sit = streams_.find(base);
+        auto sit = streams_.find(sdone->base);
         if (sit == streams_.end()) {
             // consumer subscribed and quit before the writer registered
             // the stream; credited at stream_begin
-            ++pending_stream_dones_[base];
-            break;
+            ++pending_stream_dones_[sdone->base];
+            return;
         }
         sit->second.consumer_done();
-        stream_room_locked(base, sit->second);
-        break;
-    }
+        stream_room_locked(sdone->base, sit->second);
     }
 }
 
@@ -743,11 +648,9 @@ void DistMetadataVol::schedule_deferred_retry_locked() {
     L5_SHARED_READ(this, "serve_error_", "schedule_deferred_retry");
     if (!serve_thread_.joinable() || serve_error_) return; // no live server to replay them
     // the serve thread owns request handling: hand it the replay via a
-    // one-byte self-send (the empty payload remains the shutdown
-    // signal). The per-(source, tag) FIFO guarantee means every nudge is
-    // consumed before a later shutdown send.
-    const std::byte nudge{1};
-    local_.send(local_.rank(), rpc_request, &nudge, 1);
+    // self-signal. The per-(source, tag) FIFO guarantee means every
+    // replay signal is consumed before a later shutdown signal.
+    wire::signal_self(local_, wire::Signal::replay);
 }
 
 // --- step-versioned streaming --------------------------------------------------
@@ -828,36 +731,17 @@ std::optional<stream::StepId> DistMetadataVol::stream_acquire(const std::string&
     std::uint64_t raw = 0; // StepId wire encoding: 0 = end of stream
     if (local_.rank() == 0) {
         for (;;) {
-            diy::BinaryBuffer req;
-            req.save(static_cast<std::uint8_t>(Op::StepNext));
-            req.save(name);
-            req.save<std::uint64_t>(min.valid() ? min.value() : 0);
-            req.save<std::uint8_t>(latest ? 1 : 0);
-            send_buffer(conn.ic, 0, rpc_request, std::move(req));
-            auto       reply = recv_buffer(conn.ic, 0, rpc_reply);
-            const auto kind  = reply.load<std::uint8_t>(); // 0 granted, 1 eos
-            const auto sv    = reply.load<std::uint64_t>();
-            if (kind == 1) break; // raw stays 0: eos
+            wire::send(conn.ic, 0, wire::StepNext{name, min.valid() ? min.value() : 0, latest});
+            const auto grant = wire::recv<wire::StepGrant>(conn.ic, 0);
+            if (grant.eos) break; // raw stays 0: eos
 
             // the coordinator's grant pinned rank 0; pin everywhere else
-            const stream::StepId step(sv);
-            auto                 send_release = [&](int p, bool rollback) {
-                diy::BinaryBuffer rel;
-                rel.save(static_cast<std::uint8_t>(Op::StepRelease));
-                rel.save(name);
-                rel.save<std::uint64_t>(step.value());
-                rel.save<std::uint8_t>(rollback ? 1 : 0);
-                send_buffer(conn.ic, p, rpc_request, std::move(rel));
-            };
+            const stream::StepId step(grant.step);
             int pinned_until = 1; // producer ranks [0, pinned_until) hold a pin
             for (int p = 1; p < npeers; ++p) {
-                diy::BinaryBuffer pin;
-                pin.save(static_cast<std::uint8_t>(Op::StepPin));
-                pin.save(name);
-                pin.save<std::uint64_t>(step.value());
-                send_buffer(conn.ic, p, rpc_request, std::move(pin));
-                auto pr = recv_buffer(conn.ic, p, rpc_reply);
-                if (pr.load<std::uint8_t>() != 0) break; // gone on rank p
+                wire::send(conn.ic, p, wire::StepPin{name, step.value()});
+                if (wire::recv<wire::PinReply>(conn.ic, p).status != wire::PinStatus::pinned)
+                    break; // gone on rank p
                 pinned_until = p + 1;
             }
             if (pinned_until == npeers) {
@@ -867,7 +751,8 @@ std::optional<stream::StepId> DistMetadataVol::stream_acquire(const std::string&
             // some rank already evicted the step: roll the pins back and
             // retry strictly past it (possible only under drop/latest)
             c_step_pin_rollbacks_.inc();
-            for (int p = 0; p < pinned_until; ++p) send_release(p, true);
+            for (int p = 0; p < pinned_until; ++p)
+                wire::send(conn.ic, p, wire::StepRelease{name, step.value(), /*rollback=*/true});
             min = step.next();
         }
         if (raw != 0) {
@@ -890,35 +775,21 @@ void DistMetadataVol::stream_release(const std::string& name, stream::StepId ste
     // drops the pins that keep the step alive on the producers
     local_.barrier();
     if (local_.rank() == 0) {
-        auto&             conn = consume_conns_[static_cast<std::size_t>(ci)];
-        diy::BinaryBuffer bb;
-        bb.save(static_cast<std::uint8_t>(Op::StepRelease));
-        bb.save(name);
-        bb.save<std::uint64_t>(step.value());
-        bb.save<std::uint8_t>(0); // real release, not a pin rollback
-        auto payload = simmpi::make_shared_payload(std::move(bb).take());
-        for (int p = 0; p < conn.ic.peer_size(); ++p)
-            conn.ic.send_shared(p, rpc_request, payload);
+        wire::fan_out(consume_conns_[static_cast<std::size_t>(ci)].ic,
+                      wire::StepRelease{name, step.value(), /*rollback=*/false});
         local_.check_step("release", name, step.value());
     }
     // the step snapshot is gone for good: its cached producer sets die
     // with it (each step file is its own cache entry)
-    invalidate_producer_cache(stream::step_name(name, step));
+    producer_cache_.erase(stream::step_name(name, step));
 }
 
 void DistMetadataVol::stream_unsubscribe(const std::string& name) {
     const int ci = route_consume(name);
     if (ci < 0) throw Error("lowfive: no producer connection for stream '" + name + "'");
     local_.barrier(); // the whole task is done with the stream
-    if (local_.rank() == 0) {
-        auto&             conn = consume_conns_[static_cast<std::size_t>(ci)];
-        diy::BinaryBuffer bb;
-        bb.save(static_cast<std::uint8_t>(Op::StreamDone));
-        bb.save(name);
-        auto payload = simmpi::make_shared_payload(std::move(bb).take());
-        for (int p = 0; p < conn.ic.peer_size(); ++p)
-            conn.ic.send_shared(p, rpc_request, payload);
-    }
+    if (local_.rank() == 0)
+        wire::fan_out(consume_conns_[static_cast<std::size_t>(ci)].ic, wire::StreamDone{name});
 }
 
 void DistMetadataVol::stream_admit(simmpi::detail::CoopLock<std::mutex>& lock,
@@ -1041,14 +912,8 @@ void DistMetadataVol::after_file_close(FileEntry& entry) {
         // Done names the version this round opened: the producers keep
         // that snapshot (and any later one) pinned, releasing only the
         // strictly older versions this rank can never read again.
-        auto& conn = consume_conns_[static_cast<std::size_t>(entry.conn)];
-        diy::BinaryBuffer bb;
-        bb.save(static_cast<std::uint8_t>(Op::Done));
-        bb.save(entry.name);
-        bb.save(entry.version);
-        auto payload = simmpi::make_shared_payload(std::move(bb).take());
-        for (int p = 0; p < conn.ic.peer_size(); ++p)
-            conn.ic.send_shared(p, rpc_request, payload);
+        wire::fan_out(consume_conns_[static_cast<std::size_t>(entry.conn)].ic,
+                      wire::Done{entry.name, entry.version});
         return;
     }
 
@@ -1089,12 +954,7 @@ void DistMetadataVol::after_file_close(FileEntry& entry) {
     } else if (local_.rank() == 0) {
         // passthru-only file: physical file is complete (collective close
         // barriered); notify consumers it is ready to be opened
-        diy::BinaryBuffer bb;
-        bb.save(entry.name);
-        auto payload = simmpi::make_shared_payload(std::move(bb).take());
-        for (auto* c : matching)
-            for (int r = 0; r < c->ic.peer_size(); ++r)
-                c->ic.send_shared(r, rpc_ready, payload);
+        for (auto* c : matching) wire::fan_out(c->ic, wire::Ready{entry.name});
     }
 }
 
@@ -1117,32 +977,25 @@ void* DistMetadataVol::file_open(const std::string& name) {
     if (!matches_file(memory_, stream::base_name(name))) {
         // file mode: wait for the producer's ready notification, then do a
         // physical open
-        auto        bb = recv_buffer(conn.ic, 0, rpc_ready);
-        std::string ready_name;
-        bb.load(ready_name);
-        if (ready_name != name)
+        const auto ready = wire::recv<wire::Ready>(conn.ic, 0);
+        if (ready.name != name)
             throw Error("lowfive: out-of-order file-ready: expected '" + name + "', got '"
-                        + ready_name + "'");
+                        + ready.name + "'");
         Guard lock(local_.scheduler(), mutex_, "file_open");
         return MetadataVol::file_open(name);
     }
 
     // in-situ: fetch the metadata skeleton from a producer rank
     const int target = local_.rank() % conn.ic.peer_size();
-    {
-        diy::BinaryBuffer bb;
-        bb.save(static_cast<std::uint8_t>(Op::MetadataQuery));
-        bb.save(name);
-        send_buffer(conn.ic, target, rpc_request, std::move(bb));
-    }
-    auto reply = recv_buffer(conn.ic, target, rpc_reply);
+    wire::send(conn.ic, target, wire::MetadataQuery{name});
+    auto reply = wire::recv<wire::MetadataReply>(conn.ic, target);
 
     FileEntry entry;
     entry.name    = name;
     entry.remote  = true;
     entry.conn    = ci;
-    entry.version = reply.load<std::uint64_t>();
-    entry.root    = Object::load_skeleton(reply);
+    entry.version = reply.version;
+    entry.root    = std::move(reply.root);
     // eager cache GC: opening a newer publish version supersedes every
     // cached producer set of the old one — evict them now so a long
     // rewrite sequence cannot accumulate dead entries
@@ -1184,72 +1037,46 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
     // which producers answer it? The file's cache is valid for exactly
     // one publish version: a rewrite bumps it, which both prevents stale
     // hits and evicts the dead generation eagerly.
-    std::string key;
-    if (query_cache_) {
-        diy::BinaryBuffer kb;
-        bb.save(kb);
-        key = dset;
-        key.push_back('\0');
-        key.append(reinterpret_cast<const char*>(kb.data().data()), kb.size());
-    }
-    std::vector<std::int32_t> producers;
-    bool                      cached = false;
-    FileCache*                fc     = nullptr;
-    if (query_cache_) {
-        fc = &producer_cache_[f.name];
-        if (fc->version != f.version) {
-            fc->sets.clear();
-            fc->version = f.version;
-        }
-        if (auto it = fc->sets.find(key); it != fc->sets.end()) {
-            producers = it->second;
-            cached    = true;
-            c_cache_hits_.inc();
-            obs::instant("cache.hit", "lowfive",
-                         {{"producers", producers.size(), nullptr}});
-        } else {
-            c_cache_misses_.inc();
-            obs::instant("cache.miss", "lowfive");
-        }
+    diy::BinaryBuffer kb;
+    bb.save(kb);
+    std::string key = dset;
+    key.push_back('\0');
+    key.append(reinterpret_cast<const char*>(kb.data().data()), kb.size());
+    FileCache& fc = producer_cache_[f.name];
+    if (fc.version != f.version) {
+        fc.sets.clear();
+        fc.version = f.version;
     }
 
+    // the version this consumer opened: the producer pins exactly that
+    // snapshot, so the reply is byte-identical to the opened file even
+    // while a rewrite is being published
+    wire::DataQuery              data_query{0, f.name, dset, f.version, filespace};
     std::map<std::uint64_t, int> pending_data; // req id -> producer rank
     auto send_data_query = [&](int p) {
-        const std::uint64_t id = next_req_id_++;
-        diy::BinaryBuffer   req;
-        req.save(static_cast<std::uint8_t>(Op::DataQuery));
-        req.save(id);
-        req.save(f.name);
-        req.save(dset);
-        // the version this consumer opened: the producer pins exactly
-        // that snapshot, so the reply is byte-identical to the opened
-        // file even while a rewrite is being published
-        req.save(f.version);
-        filespace.save(req);
-        send_buffer(conn.ic, p, rpc_request, std::move(req));
-        pending_data.emplace(id, p);
+        data_query.req_id = next_req_id_++;
+        wire::send(conn.ic, p, data_query);
+        pending_data.emplace(data_query.req_id, p);
         c_data_queries_.inc();
     };
 
-    if (cached) {
+    if (auto it = fc.sets.find(key); it != fc.sets.end()) {
         // cache hit: skip the intersect round entirely
-        for (int p : producers) send_data_query(p);
-    } else if (pipelining_) {
+        c_cache_hits_.inc();
+        obs::instant("cache.hit", "lowfive", {{"producers", it->second.size(), nullptr}});
+        for (int p : it->second) send_data_query(p);
+    } else {
+        c_cache_misses_.inc();
+        obs::instant("cache.miss", "lowfive");
         obs::ScopedTimerNs i_timer(c_t_intersect_ns_);
         obs::Span          i_span("query.intersect", "lowfive");
         // issue every intersect query up front...
+        wire::IntersectQuery         query{0, f.name, dset, f.version, bb};
         std::map<std::uint64_t, int> pending; // req id -> index block rank
         for (int p : decomp.intersecting_blocks(bb)) {
-            const std::uint64_t id = next_req_id_++;
-            diy::BinaryBuffer   req;
-            req.save(static_cast<std::uint8_t>(Op::IntersectQuery));
-            req.save(id);
-            req.save(f.name);
-            req.save(dset);
-            req.save(f.version);
-            bb.save(req);
-            send_buffer(conn.ic, p, rpc_request, std::move(req));
-            pending.emplace(id, p);
+            query.req_id = next_req_id_++;
+            wire::send(conn.ic, p, query);
+            pending.emplace(query.req_id, p);
             c_intersect_queries_.inc();
         }
         // ...and drain replies in arrival order (they may complete out of
@@ -1257,47 +1084,17 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
         // names a producer, overlapping with the remaining intersect round
         std::set<std::int32_t> seen;
         while (!pending.empty()) {
-            int  from  = -1;
-            auto reply = recv_buffer(conn.ic, simmpi::any_source, rpc_reply, &from);
-            const auto id  = reply.load<std::uint64_t>();
-            auto       pit = pending.find(id);
+            int        from  = -1;
+            const auto reply = wire::recv<wire::IntersectReply>(conn.ic, simmpi::any_source, &from);
+            auto       pit   = pending.find(reply.req_id);
             if (pit == pending.end() || pit->second != from)
                 throw Error("lowfive: intersect reply with unexpected id or source");
             pending.erase(pit);
-            std::vector<std::int32_t> ranks;
-            reply.load(ranks);
-            for (auto r : ranks)
+            for (auto r : reply.ranks)
                 if (seen.insert(r).second) send_data_query(static_cast<int>(r));
         }
-        producers.assign(seen.begin(), seen.end());
-    } else {
-        obs::ScopedTimerNs i_timer(c_t_intersect_ns_);
-        obs::Span          i_span("query.intersect", "lowfive");
-        // serial reference path: one intersect query in flight at a time,
-        // replies taken in rank order
-        for (int p : decomp.intersecting_blocks(bb)) {
-            const std::uint64_t id = next_req_id_++;
-            diy::BinaryBuffer   req;
-            req.save(static_cast<std::uint8_t>(Op::IntersectQuery));
-            req.save(id);
-            req.save(f.name);
-            req.save(dset);
-            req.save(f.version);
-            bb.save(req);
-            send_buffer(conn.ic, p, rpc_request, std::move(req));
-            c_intersect_queries_.inc();
-            auto reply = recv_buffer(conn.ic, p, rpc_reply);
-            if (reply.load<std::uint64_t>() != id)
-                throw Error("lowfive: intersect reply with unexpected id");
-            std::vector<std::int32_t> ranks;
-            reply.load(ranks);
-            producers.insert(producers.end(), ranks.begin(), ranks.end());
-        }
-        std::sort(producers.begin(), producers.end());
-        producers.erase(std::unique(producers.begin(), producers.end()), producers.end());
-        for (int p : producers) send_data_query(p);
+        fc.sets[key].assign(seen.begin(), seen.end());
     }
-    if (query_cache_ && !cached) fc->sets[key] = producers;
 
     // Step 2: scatter the replies as they arrive
     obs::ScopedTimerNs d_timer(c_t_data_ns_);
@@ -1342,34 +1139,23 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
                            filespace.runs_by_file(), dst, elem);
     };
 
-    auto scatter_reply = [&](diy::BinaryBuffer& reply, int from) {
-        auto npieces = reply.load<std::uint64_t>();
+    auto scatter_reply = [&](diy::BinaryBuffer& reply, std::uint64_t npieces, int from) {
         for (std::uint64_t k = 0; k < npieces; ++k) {
-            PieceRec   rec{Dataspace::load(reply), nullptr, {}};
-            const auto nbytes = reply.load<std::uint64_t>();
-            const auto enc    = reply.load<std::uint8_t>();
-            // every offset below derives from sub and nbytes: sub must be
-            // a selection of the queried extent, nbytes exactly its bytes
-            if (rec.sub.dims() != filespace.dims() || nbytes != rec.sub.npoints() * elem)
-                throw Error("lowfive: data reply piece does not match the query's extent");
-            if (enc == 2) {
+            auto     head = wire::load_piece_head(reply, filespace, elem);
+            PieceRec rec{std::move(head.sub), nullptr, {}};
+            if (head.enc == wire::PieceEncoding::aliased) {
                 // zero-copy piece: the producer's whole packed buffer
                 // follows as its own message on the same (src, tag)
                 // stream; the header says where sub sits in it, checked
                 // against the payload's size before any byte is copied
-                simmpi::SharedPayload payload;
-                conn.ic.recv_shared(from, rpc_data_reply, payload);
-                if (!payload) throw Error("lowfive: zero-copy data payload missing");
-                rec.located = load_aliased_header(reply, rec.sub, payload->size(), elem);
-                rec.data    = payload->data();
+                auto payload = wire::recv_aliased_payload(conn.ic, from);
+                rec.located  = wire::load_aliased_header(reply, rec.sub, payload->size(), elem);
+                rec.data     = payload->data();
                 shared_payloads.push_back(std::move(payload));
-            } else if (enc == 0) {
-                rec.data = reply.skip(nbytes); // inline: scatter in place
             } else {
-                throw Error("lowfive: data reply piece has unknown encoding "
-                            + std::to_string(enc));
+                rec.data = reply.skip(head.nbytes); // inline: scatter in place
             }
-            fetched += nbytes;
+            fetched += head.nbytes;
             {
                 obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
                 merge_piece(rec, scatter_dst);
@@ -1377,33 +1163,20 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
             if (direct) recs.push_back(std::move(rec));
         }
     };
-    if (pipelining_) {
-        while (!pending_data.empty()) {
-            int  from  = -1;
-            auto reply = recv_buffer(conn.ic, simmpi::any_source, rpc_data_reply, &from);
-            const auto id  = reply.load<std::uint64_t>();
-            auto       pit = pending_data.find(id);
-            if (pit == pending_data.end() || pit->second != from)
-                throw Error("lowfive: data reply with unexpected id or source");
-            pending_data.erase(pit);
-            if (direct) {
-                // the holes fallback may rescatter from this buffer later
-                scatter_reply(kept_replies.emplace_back(std::move(reply)), from);
-            } else {
-                scatter_reply(reply, from);
-            }
+    while (!pending_data.empty()) {
+        int  from  = -1;
+        auto reply = wire::recv_buffer(conn.ic, simmpi::any_source, wire::tag_data_reply, &from);
+        const auto head = wire::decode<wire::DataReplyHead>(reply);
+        auto       pit   = pending_data.find(head.req_id);
+        if (pit == pending_data.end() || pit->second != from)
+            throw Error("lowfive: data reply with unexpected id or source");
+        pending_data.erase(pit);
+        if (direct) {
+            // the holes fallback may rescatter from this buffer later
+            scatter_reply(kept_replies.emplace_back(std::move(reply)), head.npieces, from);
+        } else {
+            scatter_reply(reply, head.npieces, from);
         }
-    } else {
-        for (auto& [id, p] : pending_data) {
-            auto reply = recv_buffer(conn.ic, p, rpc_data_reply);
-            if (reply.load<std::uint64_t>() != id)
-                throw Error("lowfive: data reply with unexpected id");
-            if (direct)
-                scatter_reply(kept_replies.emplace_back(std::move(reply)), p);
-            else
-                scatter_reply(reply, p);
-        }
-        pending_data.clear();
     }
     c_bytes_fetched_.add(fetched);
     d_span.end_arg("bytes", fetched);
@@ -1434,28 +1207,6 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
         obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
         unpack_selection(memspace, packed.data(), elem, buf);
     }
-}
-
-void save_aliased_header(diy::BinaryBuffer& bb, std::span<const h5::PackedBox> where) {
-    bb.save<std::uint64_t>(where.size());
-    for (const auto& w : where) {
-        w.outer.save(bb);
-        bb.save(w.offset);
-    }
-}
-
-std::vector<h5::SelRun> load_aliased_header(diy::BinaryBuffer& bb, const Dataspace& sub,
-                                            std::uint64_t payload_bytes, std::size_t elem) {
-    const auto n = bb.load<std::uint64_t>();
-    if (n != sub.boxes().size())
-        throw Error("lowfive: aliased reply locates " + std::to_string(n) + " boxes of a "
-                    + std::to_string(sub.boxes().size()) + "-box piece");
-    std::vector<h5::PackedBox> where(n);
-    for (auto& w : where) {
-        w.outer  = diy::Bounds::load(bb);
-        w.offset = bb.load<std::uint64_t>();
-    }
-    return h5::located_runs(sub, where, payload_bytes / elem);
 }
 
 } // namespace lowfive

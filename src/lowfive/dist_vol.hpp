@@ -2,6 +2,7 @@
 
 #include "metadata_vol.hpp"
 #include "mvcc.hpp"
+#include "protocol.hpp"
 #include "stream/step.hpp"
 #include "stream/window.hpp"
 
@@ -15,14 +16,9 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <thread>
 #include <tuple>
 #include <vector>
-
-namespace diy {
-class BinaryBuffer;
-} // namespace diy
 
 namespace lowfive {
 
@@ -75,8 +71,9 @@ public:
     /// "consume data as soon as it is available, and overlap reading and
     /// writing"): the close returns right after publishing and opens are
     /// answered at once; zero-copy buffers must then stay valid until
-    /// finish_serving(). Streams always run as if on. Reserves tag 901 on
-    /// the local communicator for the serve thread's own signals.
+    /// finish_serving(). Streams always run as if on. Reserves
+    /// wire::tag_request on the local communicator for the serve thread's
+    /// own signals.
     void set_serve_in_background(bool v);
 
     /// Block until every outstanding round has been served and stop the
@@ -86,23 +83,6 @@ public:
     void finish_serving();
 
     ~DistMetadataVol() override;
-
-    /// Consumer-side request pipelining: when true (default), a remote
-    /// read issues every intersect query up front and drains replies in
-    /// arrival order, sending each data query the moment a producer is
-    /// first named; replies carry a request id so they may complete out
-    /// of order. When false, the serial reference path runs: one request
-    /// in flight at a time, replies taken in rank order.
-    void set_pipelining(bool v) { pipelining_ = v; }
-
-    /// Consumer-side producer-set cache: when true (default), the set of
-    /// producer ranks answering a (file, dataset, query-bounds) triple is
-    /// remembered, so repeated reads skip the intersect round entirely.
-    /// Invalidated when the consumer closes or drops the file.
-    void set_query_cache(bool v) {
-        query_cache_ = v;
-        if (!v) producer_cache_.clear();
-    }
 
     /// Serve side: when a data query wants at least this many bytes of a
     /// piece that owns a packed copy (Ownership::Deep), the reply aliases
@@ -230,12 +210,12 @@ private:
     /// pinned snapshot with no serve-mutex acquisition; everything else
     /// (Done, MetadataQuery, stream control) runs under mutex_ and then
     /// wakes the owed waits.
-    void handle_request(Conn& conn, int src, std::vector<std::byte>&& payload);
-    void handle_read_request(Conn& conn, int src, diy::BinaryBuffer&& bb, std::uint8_t op);
-    void handle_control_request(Conn& conn, int src, diy::BinaryBuffer&& bb, std::uint8_t op);
+    void handle_request(Conn& conn, int src, wire::Request&& req);
+    void handle_read_request(Conn& conn, int src, wire::Request&& req);
+    void handle_control_request(Conn& conn, int src, wire::Request&& req);
     /// Replay parked requests after a publish/stream event: hands the
-    /// replay to the serve thread via a one-byte self-send nudge, so
-    /// request handling stays on that one thread. Requires mutex_ held.
+    /// replay to the serve thread via a replay self-signal, so request
+    /// handling stays on that one thread. Requires mutex_ held.
     void schedule_deferred_retry_locked();
     /// The owed waits (sync close, serve_all, drop_file, finish_serving):
     /// block until every expected Done arrived (with `streams`, also every
@@ -276,14 +256,9 @@ private:
     /// Spawn the serve thread if not already running.
     void ensure_serve_thread_locked();
 
-    /// Drop every cached producer set belonging to `file`.
-    void invalidate_producer_cache(const std::string& file);
-
     simmpi::Comm      local_;
     std::vector<Conn> serve_conns_;
     std::vector<Conn> consume_conns_;
-    bool              pipelining_  = true;
-    bool              query_cache_ = true;
 
     std::uint64_t zero_copy_min_bytes_ = 65536; ///< see set_zero_copy_min_bytes
 
@@ -338,9 +313,9 @@ private:
     // acquires with nothing available yet; retried after every file close
     // / step publish / stream end
     struct Deferred {
-        std::size_t            conn;
-        int                    src;
-        std::vector<std::byte> payload;
+        std::size_t   conn;
+        int           src;
+        wire::Request request;
     };
     std::vector<Deferred> deferred_;
 
@@ -403,24 +378,5 @@ private:
     mvcc::SnapshotStore snapshots_{
         mvcc::SnapshotStore::Metrics{&g_snapshots_live_, &c_snapshot_pins_, &c_snapshot_gc_}};
 };
-
-// --- aliased data-reply pieces (enc 2) ----------------------------------------
-//
-// A piece served as an aliased buffer is followed in the reply header by
-// one (enclosing piece box, element offset) pair per box of its
-// sub-selection: where the wanted elements sit in the piece's packed
-// buffer, which travels as its own message. The header grows with the
-// sub-selection, never with the piece's whole selection.
-
-/// Append the enc-2 header; `where[k]` locates box k of the sub-selection.
-void save_aliased_header(diy::BinaryBuffer& bb, std::span<const h5::PackedBox> where);
-
-/// Read an enc-2 header for `sub` and locate sub's elements in an aliased
-/// payload of `payload_bytes` bytes holding `elem`-byte elements: the
-/// source runs for h5::gather_scatter. Throws h5::Error when the header
-/// does not describe `sub` or locates an element past the payload, so a
-/// malformed reply is rejected before any byte is copied.
-std::vector<h5::SelRun> load_aliased_header(diy::BinaryBuffer& bb, const h5::Dataspace& sub,
-                                            std::uint64_t payload_bytes, std::size_t elem);
 
 } // namespace lowfive

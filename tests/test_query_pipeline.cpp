@@ -1,7 +1,7 @@
 /// Tests for the pipelined, cached query path (out-of-order reply
 /// completion, the consumer-side producer-set cache and its
-/// invalidation) and for the coalesced two-pointer selection kernels
-/// against their naive reference implementations.
+/// invalidation) and for the selection kernels against their naive
+/// reference implementations.
 
 #include <lowfive/lowfive.hpp>
 #include <workflow/workflow.hpp>
@@ -200,33 +200,6 @@ TEST(QueryPipeline, SameVersionReopenHitsCache) {
         {Link{0, 1, "*"}}, opts);
 }
 
-TEST(QueryPipeline, SerialModeMatchesPipelined) {
-    // the serial reference path (no pipelining, no cache) must deliver
-    // the same bytes and re-run the intersect round on every read
-    const std::uint64_t total = 1536; // divisible by 3 producer ranks
-    workflow::run(
-        {
-            {"producer", 3, [&](Context& ctx) { write_quarter(ctx, "serial.h5", total); }},
-            {"consumer", 2,
-             [&](Context& ctx) {
-                 ctx.vol->set_pipelining(false);
-                 ctx.vol->set_query_cache(false);
-                 File f = File::open("serial.h5", ctx.vol);
-                 auto d = f.open_dataset("v");
-                 auto first = d.read_vector<std::uint64_t>();
-                 const auto n1 = ctx.vol->stats().n_intersect_queries;
-                 auto second = d.read_vector<std::uint64_t>();
-                 const auto n2 = ctx.vol->stats().n_intersect_queries;
-                 EXPECT_EQ(n2, 2 * n1); // cache off: intersects re-issued
-                 EXPECT_EQ(ctx.vol->stats().n_intersect_cache_hits, 0u);
-                 ASSERT_EQ(first, second);
-                 for (std::uint64_t i = 0; i < first.size(); ++i) ASSERT_EQ(first[i], i);
-                 f.close();
-             }},
-        },
-        {Link{0, 1, "*"}});
-}
-
 // --- kernel property tests ---------------------------------------------------
 
 namespace {
@@ -320,14 +293,6 @@ TEST_P(CoalescedKernelProperty, KernelsByteMatchNaiveReference) {
     extract_via_mapping(piece, mem, membuf.data(), want, elem, map_got);
     extract_via_mapping_naive(piece, mem, membuf.data(), want, elem, map_ref);
     ASSERT_EQ(map_got, map_ref);
-
-    // the dispatch knob must route the public entry points to the naive
-    // kernels (the benchmark baseline path)
-    set_naive_selection_kernels(true);
-    std::vector<std::byte> via_knob;
-    extract_from_packed(piece, piece_packed.data(), want, elem, via_knob);
-    set_naive_selection_kernels(false);
-    ASSERT_EQ(via_knob, ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoalescedKernelProperty, ::testing::Range(1u, 25u));

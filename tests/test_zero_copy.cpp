@@ -440,13 +440,13 @@ TEST(ZeroCopyServe, MalformedAliasedReplyThrowsBeforeCopy) {
 
     auto header = [](std::vector<h5::PackedBox> where) {
         diy::BinaryBuffer bb;
-        lowfive::save_aliased_header(bb, where);
+        lowfive::wire::save_aliased_header(bb, where);
         return bb;
     };
     std::vector<std::uint64_t> dst(filespace.npoints(), ~0ull);
     // what the consumer does with an aliased piece: decode, then merge
     auto receive = [&](diy::BinaryBuffer bb, std::uint64_t bytes, const h5::Dataspace& s) {
-        const auto runs = lowfive::load_aliased_header(bb, s, bytes, 8);
+        const auto runs = lowfive::wire::load_aliased_header(bb, s, bytes, 8);
         h5::gather_scatter(runs, piece.data(), s, filespace.runs_by_file(), dst.data(), 8);
     };
     auto untouched = [&] {
@@ -498,8 +498,9 @@ TEST(ZeroCopyServe, UnknownPieceEncodingThrowsBeforeCopy) {
     // a data-reply piece is inline (enc 0) or aliased (enc 2); anything
     // else must be refused before a byte reaches the (poisoned)
     // destination. Rank 0 is a hand-written producer speaking the wire
-    // protocol (requests on tag 901, metadata/intersect replies on 902,
-    // data replies on 904); rank 1 is a DistMetadataVol consumer.
+    // protocol; rank 1 is a DistMetadataVol consumer.
+    namespace wire = lowfive::wire;
+
     constexpr std::uint64_t n = 64;
     for (const std::uint8_t enc : {std::uint8_t{1}, std::uint8_t{7}}) {
         SCOPED_TRACE("encoding " + std::to_string(enc));
@@ -508,42 +509,32 @@ TEST(ZeroCopyServe, UnknownPieceEncodingThrowsBeforeCopy) {
             std::vector<int> prod{0}, cons{1};
             simmpi::Comm     ic = simmpi::Comm::create_intercomm(world, prod, cons);
             if (world.rank() == 0) {
-                auto request = [&](std::uint8_t op) {
-                    std::vector<std::byte> raw;
-                    ic.recv(0, 901, raw);
-                    diy::BinaryBuffer bb(std::move(raw));
-                    EXPECT_EQ(bb.load<std::uint8_t>(), op);
-                    return bb;
+                auto request = [&] {
+                    auto bb  = wire::recv_buffer(ic, 0, wire::tag_request);
+                    auto req = wire::decode_request(bb);
+                    EXPECT_TRUE(req.has_value());
+                    return req.value_or(wire::Request{});
                 };
                 // MetadataQuery: version 1 of a file holding one dataset
-                request(1);
-                h5::Object root(h5::ObjectKind::File, "enc.h5");
-                auto*      v = root.add_child(
+                EXPECT_TRUE(std::holds_alternative<wire::MetadataQuery>(request()));
+                auto  root = std::make_shared<h5::Object>(h5::ObjectKind::File, "enc.h5");
+                auto* v    = root->add_child(
                     std::make_unique<h5::Object>(h5::ObjectKind::Dataset, "v"));
                 v->type  = h5::dt::uint64();
                 v->space = h5::Dataspace({n});
-                diy::BinaryBuffer meta;
-                meta.save<std::uint64_t>(1);
-                root.save_skeleton(meta);
-                ic.send(0, 902, std::move(meta).take());
+                wire::send(ic, 0, wire::MetadataReply{1, root});
                 // IntersectQuery: this rank holds the data
-                auto              iq = request(2);
-                diy::BinaryBuffer ranks;
-                ranks.save(iq.load<std::uint64_t>());
-                ranks.save(std::vector<std::int32_t>{0});
-                ic.send(0, 902, std::move(ranks).take());
+                const auto iq = std::get<wire::IntersectQuery>(request());
+                wire::send(ic, 0, wire::IntersectReply{iq.req_id, {0}});
                 // DataQuery: one whole-extent piece, its bytes inline
                 // behind an encoding byte that is neither 0 nor 2
-                auto              dq = request(3);
+                const auto        dq = std::get<wire::DataQuery>(request());
                 diy::BinaryBuffer data;
-                data.save(dq.load<std::uint64_t>());
-                data.save<std::uint64_t>(1);
-                h5::Dataspace({n}).save(data);
-                data.save<std::uint64_t>(n * 8);
-                data.save<std::uint8_t>(enc);
+                wire::encode(data, wire::DataReplyHead{dq.req_id, 1});
+                wire::encode(data, wire::PieceHead{h5::Dataspace({n}), n * 8, wire::PieceEncoding{enc}});
                 for (std::uint64_t i = 0; i < n; ++i) data.save<std::uint64_t>(1000 + i);
-                ic.send(0, 904, std::move(data).take());
-                request(4); // Done
+                wire::send_data_reply(ic, 0, std::move(data), {});
+                EXPECT_TRUE(std::holds_alternative<wire::Done>(request()));
             } else {
                 auto vol = std::make_shared<lowfive::DistMetadataVol>(local);
                 vol->consume_from(ic);
