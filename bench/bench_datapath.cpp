@@ -3,9 +3,9 @@
 /// against this machine's raw memcpy bandwidth?
 ///
 /// One producer writes a 1-d uint64 array, one consumer reads all of it:
-/// the filespace is one contiguous run, so the consumer scatters replies
-/// straight into the user buffer (the direct fast path) and the
-/// end-to-end transfer is producer-extract + envelope + consumer-scatter.
+/// the consumer merges each reply piece straight into the user buffer
+/// along the read's mapped runs (here one run), so the end-to-end
+/// transfer is producer-extract + envelope + consumer merge.
 ///
 /// Sections:
 ///   memcpy     raw single-copy bandwidth per payload size (the baseline

@@ -297,8 +297,8 @@ obs::json::Value phase_json(const obs::Registry::Snapshot& metrics) {
     phases.set("query_data_ns", data);
     phases.set("query_other_ns", query >= intersect + data ? query - intersect - data : 0);
     // a sub-phase *inside* query_data_ns (it does not enter the
-    // intersect + data + other == query identity): the scatter/unpack
-    // copies into the user buffer
+    // intersect + data + other == query identity): the merges of the
+    // reply pieces into the user buffer
     phases.set("query_copy_ns", c("time_query_copy_ns"));
     return phases;
 }

@@ -139,9 +139,9 @@ void print_recorded(const std::string& title, const Params& p, const std::vector
 /// the time_*_ns counters accumulated by obs::ScopedTimerNs, so the
 /// index / intersect / data / other breakdown is available without
 /// tracing. query_intersect_ns + query_data_ns + query_other_ns ==
-/// query_ns by construction. query_copy_ns (scatter/unpack into the user
-/// buffer) is a sub-phase *inside* query_data_ns and does not enter that
-/// identity.
+/// query_ns by construction. query_copy_ns (the merges of reply pieces
+/// into the user buffer) is a sub-phase *inside* query_data_ns and does
+/// not enter that identity.
 
 obs::json::Value bench_envelope(const std::string& bench,
                                 std::uint64_t payload_bytes_per_rank, int trials);

@@ -29,10 +29,6 @@ std::vector<Run> collect_runs_uncoalesced(const Dataspace& space) {
 
 } // namespace
 
-std::vector<SelRun> selection_runs(const Dataspace& space) {
-    return space.runs();
-}
-
 Dataspace::Dataspace(Extent dims) : dims_(std::move(dims)) {
     if (dims_.empty() || dims_.size() > static_cast<std::size_t>(diy::max_dim))
         throw Error("h5: dataspace rank must be in [1, " + std::to_string(diy::max_dim) + "]");
@@ -372,10 +368,10 @@ void run_segments(std::byte* dst, const std::byte* src, const std::vector<kern::
                   std::uint64_t bytes);
 } // namespace
 
-// pack/unpack have no lookup side (one selection, both layouts known), so
-// there is nothing to merge: emit one segment per coalesced run and let
-// the segment runner pick the copy width and fan-out. Byte-identical to
-// the old per-run memcpy loop.
+// pack has no lookup side (one selection, both layouts known), so there
+// is nothing to merge: emit one segment per coalesced run and let the
+// segment runner pick the copy width and fan-out. Byte-identical to the
+// old per-run memcpy loop.
 
 void pack_selection(const Dataspace& space, const void* full, std::size_t elem, void* packed) {
     const auto* src = static_cast<const std::byte*>(full);
@@ -389,42 +385,27 @@ void pack_selection(const Dataspace& space, const void* full, std::size_t elem, 
     run_segments(dst, src, segs, space.npoints() * elem);
 }
 
-void unpack_selection(const Dataspace& space, const void* packed, std::size_t elem, void* full) {
-    const auto* src = static_cast<const std::byte*>(packed);
-    auto*       dst = static_cast<std::byte*>(full);
-
-    std::vector<kern::Seg> segs;
-    const auto&            runs = space.runs();
-    segs.reserve(runs.size());
-    for (const auto& r : runs)
-        segs.push_back({r.file_off * elem, r.packed_off * elem, r.len * elem});
-    run_segments(dst, src, segs, space.npoints() * elem);
-}
-
-void copy_selected(const Dataspace& src_space, const void* src, const Dataspace& dst_space,
-                   void* dst, std::size_t elem) {
-    if (src_space.npoints() != dst_space.npoints())
-        throw Error("h5: copy_selected selection sizes differ (" + std::to_string(src_space.npoints())
-                    + " vs " + std::to_string(dst_space.npoints()) + ")");
-
-    const auto& sruns = src_space.runs();
-    const auto& druns = dst_space.runs();
-
-    const auto* sbuf = static_cast<const std::byte*>(src);
-    auto*       dbuf = static_cast<std::byte*>(dst);
-
-    std::size_t   si = 0, di = 0;
-    std::uint64_t soff = 0, doff = 0; // consumed within current runs
-    while (si < sruns.size() && di < druns.size()) {
-        const auto&   sr = sruns[si];
-        const auto&   dr = druns[di];
-        std::uint64_t n  = std::min(sr.len - soff, dr.len - doff);
-        std::memcpy(dbuf + (dr.file_off + doff) * elem, sbuf + (sr.file_off + soff) * elem, n * elem);
-        soff += n;
-        doff += n;
-        if (soff == sr.len) { ++si; soff = 0; }
-        if (doff == dr.len) { ++di; doff = 0; }
+std::vector<SelRun> mapped_runs(const Dataspace& filespace, const Dataspace& memspace) {
+    if (filespace.npoints() != memspace.npoints())
+        throw Error("h5: mapped_runs: selection sizes differ ("
+                    + std::to_string(filespace.npoints()) + " vs "
+                    + std::to_string(memspace.npoints()) + ")");
+    // one walk over both enumerations; a run ends where either side's does
+    const auto&         fruns = filespace.runs();
+    const auto&         mruns = memspace.runs();
+    std::vector<SelRun> out;
+    out.reserve(std::max(fruns.size(), mruns.size()));
+    std::size_t   fi = 0, mi = 0;
+    std::uint64_t fdone = 0, mdone = 0; // consumed within the current runs
+    while (fi < fruns.size() && mi < mruns.size()) {
+        const std::uint64_t n = std::min(fruns[fi].len - fdone, mruns[mi].len - mdone);
+        out.push_back({fruns[fi].file_off + fdone, n, mruns[mi].file_off + mdone});
+        if ((fdone += n) == fruns[fi].len) { ++fi; fdone = 0; }
+        if ((mdone += n) == mruns[mi].len) { ++mi; mdone = 0; }
     }
+    std::sort(out.begin(), out.end(),
+              [](const Run& a, const Run& b) { return a.file_off < b.file_off; });
+    return out;
 }
 
 // --- vectorized segment runner -----------------------------------------------
@@ -559,54 +540,46 @@ void extract_via_mapping(const Dataspace& filespace, const Dataspace& memspace,
                          std::vector<std::byte>& out) {
     obs::Span span("extract_via_mapping", "h5.kernel",
                    {{"bytes", want.npoints() * elem, nullptr}});
-    if (filespace.npoints() != memspace.npoints())
-        throw Error("h5: extract_via_mapping: filespace/memspace sizes differ");
+    const auto src_runs = mapped_runs(filespace, memspace);
+    const auto base     = out.size();
+    out.resize(base + want.npoints() * elem);
+    merge(src_runs, membuf, want, want.runs_by_file(), out.data() + base, elem);
+}
 
-    const auto& fruns = filespace.runs_by_file();
-    const auto& mruns = memspace.runs(); // increasing packed_off by construction
+// --- read assembly -----------------------------------------------------------
 
-    const auto*         src   = static_cast<const std::byte*>(membuf);
-    const auto          base  = out.size();
-    const std::uint64_t bytes = want.npoints() * elem;
-    out.resize(base + bytes);
-    auto* dst = out.data() + base;
+ReadAssembly::ReadAssembly(const Dataspace& filespace, const Dataspace& memspace, void* buf,
+                           std::size_t elem)
+    : runs_(mapped_runs(filespace, memspace)), buf_(static_cast<std::byte*>(buf)), elem_(elem),
+      npoints_(filespace.npoints()) {}
 
-    // enumeration position -> memory buffer offset; positions are not
-    // monotonic across want runs, so the memory side keeps a binary search
-    auto mem_locate = [&](std::uint64_t pos, std::uint64_t& buf_off, std::uint64_t& avail) {
-        auto it = std::upper_bound(mruns.begin(), mruns.end(), pos,
-                                   [](std::uint64_t v, const Run& r) { return v < r.packed_off; });
-        if (it == mruns.begin()) throw Error("h5: extract_via_mapping: bad enumeration position");
-        --it;
-        std::uint64_t within = pos - it->packed_off;
-        if (within >= it->len) throw Error("h5: extract_via_mapping: bad enumeration position");
-        buf_off = it->file_off + within;
-        avail   = it->len - within;
-    };
+void ReadAssembly::merge_piece(const Piece& p) {
+    gather_scatter(p.src_runs.empty() ? p.sub.runs_by_file() : p.src_runs, p.src, p.sub, runs_,
+                   buf_, elem_);
+}
 
-    std::vector<kern::Seg> segs;
-    segs.reserve(fruns.size());
-    std::size_t fi = 0;
-    for (const auto& w : want.runs_by_file()) {
-        std::uint64_t copied = 0;
-        while (copied < w.len) {
-            const std::uint64_t target = w.file_off + copied;
-            while (fi < fruns.size() && fruns[fi].file_off + fruns[fi].len <= target) ++fi;
-            if (fi == fruns.size() || fruns[fi].file_off > target)
-                throw Error("h5: extract_via_mapping: requested element not covered");
-            const std::uint64_t within  = target - fruns[fi].file_off;
-            const std::uint64_t avail_f = fruns[fi].len - within;
-            const std::uint64_t pos     = fruns[fi].packed_off + within;
+void ReadAssembly::add(Dataspace sub, std::vector<SelRun> src_runs, const void* src) {
+    merge_piece(pieces_.emplace_back(Piece{std::move(sub), std::move(src_runs), src}));
+}
 
-            std::uint64_t buf_off = 0, avail_m = 0;
-            mem_locate(pos, buf_off, avail_m);
-
-            const std::uint64_t take = std::min({avail_f, avail_m, w.len - copied});
-            segs.push_back({(w.packed_off + copied) * elem, buf_off * elem, take * elem});
-            copied += take;
+void ReadAssembly::finish() {
+    // distinct elements the pieces covered: an overlap-safe union of
+    // their runs
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> iv;
+    for (const auto& p : pieces_)
+        for (const auto& r : p.sub.runs()) iv.emplace_back(r.file_off, r.file_off + r.len);
+    std::sort(iv.begin(), iv.end());
+    std::uint64_t covered = 0, hi = 0;
+    for (const auto& [a, b] : iv) {
+        const std::uint64_t lo = std::max(a, hi);
+        if (b > lo) {
+            covered += b - lo;
+            hi = b;
         }
     }
-    run_segments(dst, src, segs, bytes);
+    if (covered == npoints_) return;
+    for (const auto& r : runs_) std::memset(buf_ + r.packed_off * elem_, 0, r.len * elem_);
+    for (const auto& p : pieces_) merge_piece(p);
 }
 
 LocatedIntersection intersect_located(const Dataspace& piece, const Dataspace& query,

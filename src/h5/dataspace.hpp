@@ -153,15 +153,14 @@ std::vector<diy::Bounds> intersect_selections(const Dataspace& a, const Dataspac
 void pack_selection(const Dataspace& space, const void* full, std::size_t elem,
                     void* packed);
 
-/// Scatter a packed buffer back into a full-extent buffer.
-void unpack_selection(const Dataspace& space, const void* packed, std::size_t elem,
-                      void* full);
-
-/// Copy between two buffers through their selections, pairing elements in
-/// iteration order (HDF5 read/write semantics). Selections must have equal
-/// npoints. `src` and `dst` are full-extent buffers of their dataspaces.
-void copy_selected(const Dataspace& src_space, const void* src,
-                   const Dataspace& dst_space, void* dst, std::size_t elem);
+/// Where each element of `filespace`'s selection sits in a buffer laid
+/// out by `memspace`: the k-th element of filespace's enumeration pairs
+/// with the k-th of memspace's (HDF5 read/write semantics). Runs are
+/// sorted by file offset, and `packed_off` is the element's offset in the
+/// memory buffer, so the result is the destination side of a
+/// gather_scatter into that buffer (or the source side out of it). Throws
+/// h5::Error when the two selections differ in size.
+std::vector<SelRun> mapped_runs(const Dataspace& filespace, const Dataspace& memspace);
 
 /// The fused gather-scatter merge behind every packed-to-packed copy: each
 /// element of `sub` moves from where `src_runs` places it in `src` to
@@ -175,6 +174,44 @@ void copy_selected(const Dataspace& src_space, const void* src,
 /// out as `sub`; a scatter is this merge with the source laid out as `sub`.
 void gather_scatter(std::span<const SelRun> src_runs, const void* src, const Dataspace& sub,
                     std::span<const SelRun> dst_runs, void* dst, std::size_t elem);
+
+/// Assembles one dataset read in the caller's buffer: `buf` is laid out by
+/// `memspace`, and the read's file selection `filespace` pairs with it in
+/// enumeration order (mapped_runs). Each source piece is merged straight
+/// into `buf` with one gather_scatter, in the order added, so where pieces
+/// overlap the later one wins. Elements no piece covers read 0, and
+/// nothing outside the memory selection is written.
+class ReadAssembly {
+public:
+    ReadAssembly(const Dataspace& filespace, const Dataspace& memspace, void* buf,
+                 std::size_t elem);
+
+    /// Merge `sub` (file coordinates, inside filespace's selection) into
+    /// the buffer now. `src_runs` locates sub's elements in `src`, sorted
+    /// by file offset (see gather_scatter); empty means `src` is packed in
+    /// sub's iteration order. `src` must stay valid until finish(), which
+    /// may replay the piece.
+    void add(Dataspace sub, std::vector<SelRun> src_runs, const void* src);
+
+    /// Fill the holes: when the pieces' union is short of the selection,
+    /// zero the memory selection and replay every piece in order. A read
+    /// the pieces cover touches no byte twice.
+    void finish();
+
+private:
+    struct Piece {
+        Dataspace           sub;
+        std::vector<SelRun> src_runs;
+        const void*         src;
+    };
+    void merge_piece(const Piece& p);
+
+    std::vector<SelRun> runs_; ///< mapped_runs(filespace, memspace)
+    std::byte*          buf_;
+    std::size_t         elem_;
+    std::uint64_t       npoints_;
+    std::vector<Piece>  pieces_;
+};
 
 /// Where one box of a selection sits in a packed buffer holding more than
 /// the selection: `outer` encloses the box, and outer's elements occupy
@@ -223,16 +260,13 @@ void extract_from_packed(const Dataspace& piece_space, const void* piece_packed,
 void scatter_into_packed(const Dataspace& dest_space, void* dest_packed, const Dataspace& sub,
                          const void* sub_packed, std::size_t elem);
 
-/// Materialize the coalesced runs of a selection, in iteration order
-/// (equivalent to `space.runs()` but returned by value).
-std::vector<SelRun> selection_runs(const Dataspace& space);
-
 /// Extract `want` (a sub-selection of `filespace`'s selection, in file
 /// coordinates) directly from a user memory buffer described by
 /// `memspace`, where the k-th element of filespace's enumeration lives at
 /// the k-th element of memspace's enumeration (HDF5 write semantics).
 /// Appends to `out` in `want`'s iteration order. This is the zero-copy
-/// path: no intermediate packing of the producer's buffer is made.
+/// path: no intermediate packing of the producer's buffer is made. The
+/// fused merge with the source located by mapped_runs.
 void extract_via_mapping(const Dataspace& filespace, const Dataspace& memspace,
                          const void* membuf, const Dataspace& want, std::size_t elem,
                          std::vector<std::byte>& out);

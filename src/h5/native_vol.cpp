@@ -195,16 +195,16 @@ void NativeVol::dataset_read(void* dset, const Dataspace& memspace, const Datasp
     OpenFile& f = owner_of(d);
     check_spaces(memspace, filespace, *d, "dataset_read");
 
-    const std::size_t      elem = d->type.size();
-    std::vector<std::byte> packed(filespace.npoints() * elem); // zero = fill value
     if (f.writable) {
-        read_from_pieces(*d, filespace, packed.data());
-    } else {
-        for (const auto& run : filespace.runs())
-            f.io.pread(packed.data() + run.packed_off * elem, run.len * elem,
-                       d->file_data_offset + run.file_off * elem);
+        read_pieces(*d, filespace, memspace, buf);
+        return;
     }
-    unpack_selection(memspace, packed.data(), elem, buf);
+    // the file holds the whole extent: each mapped run is one pread
+    // straight into the caller's buffer
+    const std::size_t elem = d->type.size();
+    for (const auto& run : mapped_runs(filespace, memspace))
+        f.io.pread(static_cast<std::byte*>(buf) + run.packed_off * elem, run.len * elem,
+                   d->file_data_offset + run.file_off * elem);
 }
 
 void NativeVol::dataset_set_extent(void* dset, const Extent& new_dims) {

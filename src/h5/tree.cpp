@@ -66,24 +66,23 @@ std::unique_ptr<Object> Object::load_skeleton(diy::BinaryBuffer& bb) {
     return obj;
 }
 
-std::uint64_t read_from_pieces(const Object& dset, const Dataspace& want, std::byte* packed) {
-    const std::size_t elem  = dset.type.size();
-    std::uint64_t     found = 0;
-
+void read_pieces(const Object& dset, const Dataspace& filespace, const Dataspace& memspace,
+                 void* buf) {
+    ReadAssembly out(filespace, memspace, buf, dset.type.size());
     for (const auto& piece : dset.pieces) {
-        auto common = intersect_selections(piece.filespace, want);
+        auto common = intersect_selections(piece.filespace, filespace);
         if (common.empty()) continue;
 
         Dataspace sub(dset.space.dims());
         sub.select_none();
         for (const auto& b : common) sub.add_box(b);
 
-        std::vector<std::byte> sub_packed;
-        piece.extract(sub, elem, sub_packed);
-        scatter_into_packed(want, packed, sub, sub_packed.data(), elem);
-        found += sub.npoints();
+        if (piece.ownership == Ownership::Deep)
+            out.add(std::move(sub), piece.filespace.runs_by_file(), piece.owned.data());
+        else
+            out.add(std::move(sub), mapped_runs(piece.filespace, piece.memspace), piece.ref);
     }
-    return found;
+    out.finish();
 }
 
 } // namespace h5

@@ -130,10 +130,12 @@ struct Object {
     static std::unique_ptr<Object> load_skeleton(diy::BinaryBuffer& bb);
 };
 
-/// Assemble the elements selected by `want` from a dataset node's recorded
-/// pieces into a packed buffer (want's iteration order). Regions no piece
-/// covers are left as they are in `packed` (zero-fill by the caller gives
-/// HDF5's default fill value). Returns the number of elements found.
-std::uint64_t read_from_pieces(const Object& dset, const Dataspace& want, std::byte* packed);
+/// Read the elements `filespace` selects from a dataset node's recorded
+/// pieces straight into `buf`, laid out by `memspace` (one ReadAssembly:
+/// later pieces win where they overlap, elements no piece covers read
+/// HDF5's default fill value 0, and nothing outside the memory selection
+/// is written).
+void read_pieces(const Object& dset, const Dataspace& filespace, const Dataspace& memspace,
+                 void* buf);
 
 } // namespace h5

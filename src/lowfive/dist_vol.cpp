@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <set>
@@ -80,6 +79,7 @@ DistMetadataVol::Stats DistMetadataVol::stats() const {
     s.n_intersect_cache_hits   = c_cache_hits_.value();
     s.n_intersect_cache_misses = c_cache_misses_.value();
     s.n_zero_copy_pieces       = c_zero_copy_pieces_.value();
+    s.n_malformed_requests     = c_malformed_requests_.value();
     s.n_steps_published        = c_steps_published_.value();
     s.n_steps_dropped          = c_steps_dropped_.value();
     s.n_steps_drained          = c_steps_drained_.value();
@@ -116,9 +116,9 @@ void DistMetadataVol::notify_dones() {
 }
 
 void DistMetadataVol::serve_loop() {
-    // any exception — a world abort unblocking the probe, a malformed
-    // request — must not escape the thread (std::terminate) or strand
-    // waiters on dones_cv_: record it and wake everyone instead
+    // any exception — a world abort unblocking the probe, a request a
+    // handler rejects — must not escape the thread (std::terminate) or
+    // strand waiters on dones_cv_: record it and wake everyone instead
     try {
         // waiting for the next request is idling, not a stall: the probe
         // runs with no deadline, so a producer that computes past the
@@ -155,12 +155,22 @@ void DistMetadataVol::serve_loop() {
             }
             auto& conn = serve_conns_[which];
             auto  raw  = wire::recv_buffer(conn.ic, st.source, wire::tag_request);
-            // decoding counts as serve time; an op no request has is
-            // dropped. No lock here: handle_request pins a snapshot for
-            // the query ops and takes the Guard itself only for control ops
-            obs::ScopedTimerNs timer(c_t_serve_ns_);
-            if (auto req = wire::decode_request(raw))
+            // decoding counts as serve time. A request that does not
+            // decode (empty, truncated, a length past its end) or whose
+            // op no request has is dropped and counted; errors from the
+            // handlers still end the thread. No lock here: handle_request
+            // pins a snapshot for the query ops and takes the Guard itself
+            // only for control ops
+            obs::ScopedTimerNs           timer(c_t_serve_ns_);
+            std::optional<wire::Request> req;
+            try {
+                req = wire::decode_request(raw);
+            } catch (const std::exception&) {
+            }
+            if (req)
                 handle_request(conn, st.source, std::move(*req));
+            else
+                c_malformed_requests_.inc();
         }
     } catch (...) {
         {
@@ -174,13 +184,13 @@ void DistMetadataVol::serve_loop() {
 
 void DistMetadataVol::check_pin_leaks() {
     // finalize lint: every snapshot pin taken during the run (round pins,
-    // step pins, reader pins) must have been released by now — a leak
-    // keeps superseded versions and their data alive forever
+    // reader pins) must have been released by now — a leak keeps
+    // superseded versions and their data alive forever
     if (const auto n = snapshots_.outstanding_pins(); n != 0)
         local_.check_leak("leaked-snapshot-pin",
                           std::to_string(n)
                               + " snapshot pin(s) still outstanding at finish_serving "
-                                "(round or step pins never released)");
+                                "(round pins never released)");
 }
 
 void DistMetadataVol::finish_serving() {
@@ -332,9 +342,10 @@ void DistMetadataVol::index_file(FileEntry& entry) {
     // publish: install an immutable snapshot (frozen tree + index) as the
     // new current version with an atomic root swap. The superseded
     // version stays alive — and byte-identically readable — exactly as
-    // long as some pin (a round pin, a step pin, an in-flight query)
-    // still holds it. Consumers key their intersect cache by this
-    // version, learned from the metadata reply.
+    // long as some pin (a round pin, an in-flight query) still holds it.
+    // A stream step is never superseded: the window's refs keep its
+    // snapshot current until the step is evicted. Consumers key their
+    // intersect cache by this version, learned from the metadata reply.
     auto pin      = snapshots_.publish(entry.name, entry.root, std::move(index), now_ns());
     entry.version = pin->version();
 }
@@ -397,8 +408,9 @@ void DistMetadataVol::handle_read_request(Conn& conn, int src, wire::Request&& r
     // pin the exact version the consumer opened: a rewrite racing this
     // query supersedes the current snapshot but cannot free the pinned
     // one. Fall back to the current version when the named one is
-    // already gone (possible only if the consumer broke round/step-pin
-    // discipline — the plain current read is still self-consistent).
+    // already gone (possible only if the consumer broke round-pin or
+    // step-window discipline — the plain current read is still
+    // self-consistent).
     auto snap = snapshots_.pin(name, version);
     if (!snap && version != 0) {
         // the named version may not exist HERE yet: the consumer's
@@ -579,13 +591,6 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, wire::Request&
             deferred_.push_back({conn_idx, src, std::move(req)});
             return;
         }
-        if (r.status == stream::StepWindow::Acquire::Status::granted) {
-            // the grant IS a snapshot pin: the granted step's version
-            // cannot be GC'd out from under the consumer until released
-            const std::string sname = stream::step_name(next->base, r.step);
-            L5_SHARED_WRITE(this, "step_pins_", "serve/step_next");
-            if (auto pin = snapshots_.pin(sname)) step_pins_[sname].push_back(std::move(pin));
-        }
         const std::uint64_t step = r.step.valid() ? r.step.value() : 0;
         obs::instant("serve.step_next", "lowfive",
                      {{"src", static_cast<std::uint64_t>(src), nullptr}, {"step", step, nullptr}});
@@ -595,11 +600,6 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, wire::Request&
         L5_SHARED_READ(this, "streams_", "serve/step_pin");
         auto       sit = streams_.find(spin->base);
         const bool ok  = sit != streams_.end() && sit->second.pin(stream::StepId(spin->step));
-        if (ok) {
-            const std::string sname = stream::step_name(spin->base, stream::StepId(spin->step));
-            L5_SHARED_WRITE(this, "step_pins_", "serve/step_pin");
-            if (auto pin = snapshots_.pin(sname)) step_pins_[sname].push_back(std::move(pin));
-        }
         // gone: this rank's window raced ahead and already evicted the
         // step — the consumer rolls its pins back and retries higher
         wire::send(conn.ic, src,
@@ -613,13 +613,6 @@ void DistMetadataVol::handle_control_request(Conn& conn, int src, wire::Request&
         if (!rel)
             throw Error("lowfive: release of an unpinned step " + std::to_string(srel->step)
                         + " of stream '" + srel->base + "'");
-        // drop the matching snapshot pin (rollback or drain alike)
-        const std::string sname = stream::step_name(srel->base, stream::StepId(srel->step));
-        L5_SHARED_WRITE(this, "step_pins_", "serve/step_release");
-        if (auto pit = step_pins_.find(sname); pit != step_pins_.end()) {
-            pit->second.pop_back();
-            if (pit->second.empty()) step_pins_.erase(pit);
-        }
         if (rel->first_drain && !srel->rollback) {
             c_steps_drained_.inc();
             h_step_latency_ns_.observe(now_ns() - rel->publish_ns);
@@ -861,8 +854,6 @@ void DistMetadataVol::stream_room_locked(const std::string& base, stream::StepWi
 
 void DistMetadataVol::gc_step_locked(const std::string& base, stream::StepWindow::Evicted ev) {
     const std::string name = stream::step_name(base, ev.step);
-    L5_SHARED_WRITE(this, "step_pins_", "gc_step");
-    step_pins_.erase(name); // evicted steps are unpinned; hygiene only
     // retire the step's whole snapshot line — including its version
     // counter, or a long stream accumulates one entry per step forever.
     // The tree itself survives as long as an in-flight query pins it.
@@ -1096,117 +1087,50 @@ void DistMetadataVol::remote_dataset_read(FileEntry& f, Object* node, const Data
         fc.sets[key].assign(seen.begin(), seen.end());
     }
 
-    // Step 2: scatter the replies as they arrive
+    // Step 2: merge each reply piece into the caller's buffer as it
+    // arrives; every reply buffer and aliased payload stays alive until
+    // finish(), which replays the pieces only when they left holes
     obs::ScopedTimerNs d_timer(c_t_data_ns_);
     obs::Span          d_span("query.data", "lowfive",
                               {{"producers", pending_data.size(), nullptr}});
-    std::uint64_t      fetched = 0;
-
-    // When the memory selection is a single contiguous run, the packed
-    // layout of `filespace` IS a slice of the user's buffer: scatter the
-    // replies straight into it and skip the staging buffer plus the
-    // final unpack copy entirely. Zero fill is lazy: the common case —
-    // the pieces cover the whole selection — never touches a byte twice;
-    // when coverage has holes, the fallback below zeroes the slice and
-    // replays the retained pieces so unserved holes still read as zero.
-    const auto&            mruns  = memspace.runs();
-    std::byte*             direct = nullptr;
-    std::vector<std::byte> packed;
-    if (mruns.size() == 1) {
-        direct = static_cast<std::byte*>(buf) + mruns[0].file_off * elem;
-    } else {
-        packed.resize(filespace.npoints() * elem); // zero fill
-    }
-    std::byte* scatter_dst = direct ? direct : packed.data();
-
-    // retained per-piece state for the direct path's holes fallback: the
-    // sub-selection, a pointer into storage kept alive below (reply
-    // buffers, zero-copy payloads), and for an aliased piece where the
-    // sub-selection sits in that payload
-    struct PieceRec {
-        Dataspace               sub;
-        const std::byte*        data = nullptr;
-        std::vector<h5::SelRun> located; ///< empty: data is packed in sub's order
-    };
-    std::vector<PieceRec>              recs;
-    std::deque<diy::BinaryBuffer>      kept_replies;
-    std::vector<simmpi::SharedPayload> shared_payloads; // alive until scatters finish
-
-    // one piece into the selection's packed layout: a single fused merge
-    // from wherever its bytes sit, direct, staged, or replayed
-    auto merge_piece = [&](const PieceRec& r, std::byte* dst) {
-        h5::gather_scatter(r.located.empty() ? r.sub.runs_by_file() : r.located, r.data, r.sub,
-                           filespace.runs_by_file(), dst, elem);
-    };
-
-    auto scatter_reply = [&](diy::BinaryBuffer& reply, std::uint64_t npieces, int from) {
-        for (std::uint64_t k = 0; k < npieces; ++k) {
-            auto     head = wire::load_piece_head(reply, filespace, elem);
-            PieceRec rec{std::move(head.sub), nullptr, {}};
-            if (head.enc == wire::PieceEncoding::aliased) {
+    std::uint64_t                      fetched = 0;
+    h5::ReadAssembly                   out(filespace, memspace, buf, elem);
+    std::deque<diy::BinaryBuffer>      replies;
+    std::vector<simmpi::SharedPayload> payloads;
+    while (!pending_data.empty()) {
+        int   from  = -1;
+        auto& reply = replies.emplace_back(
+            wire::recv_buffer(conn.ic, simmpi::any_source, wire::tag_data_reply, &from));
+        const auto head = wire::decode<wire::DataReplyHead>(reply);
+        auto       pit  = pending_data.find(head.req_id);
+        if (pit == pending_data.end() || pit->second != from)
+            throw Error("lowfive: data reply with unexpected id or source");
+        pending_data.erase(pit);
+        for (std::uint64_t k = 0; k < head.npieces; ++k) {
+            auto                    piece = wire::load_piece_head(reply, filespace, elem);
+            std::vector<h5::SelRun> located; // empty: inline, packed in sub's order
+            const std::byte*        src = nullptr;
+            if (piece.enc == wire::PieceEncoding::aliased) {
                 // zero-copy piece: the producer's whole packed buffer
                 // follows as its own message on the same (src, tag)
                 // stream; the header says where sub sits in it, checked
                 // against the payload's size before any byte is copied
-                auto payload = wire::recv_aliased_payload(conn.ic, from);
-                rec.located  = wire::load_aliased_header(reply, rec.sub, payload->size(), elem);
-                rec.data     = payload->data();
-                shared_payloads.push_back(std::move(payload));
+                const auto& payload =
+                    payloads.emplace_back(wire::recv_aliased_payload(conn.ic, from));
+                located = wire::load_aliased_header(reply, piece.sub, payload->size(), elem);
+                src     = payload->data();
             } else {
-                rec.data = reply.skip(head.nbytes); // inline: scatter in place
+                src = reply.skip(piece.nbytes); // inline: merged in place
             }
-            fetched += head.nbytes;
-            {
-                obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
-                merge_piece(rec, scatter_dst);
-            }
-            if (direct) recs.push_back(std::move(rec));
-        }
-    };
-    while (!pending_data.empty()) {
-        int  from  = -1;
-        auto reply = wire::recv_buffer(conn.ic, simmpi::any_source, wire::tag_data_reply, &from);
-        const auto head = wire::decode<wire::DataReplyHead>(reply);
-        auto       pit   = pending_data.find(head.req_id);
-        if (pit == pending_data.end() || pit->second != from)
-            throw Error("lowfive: data reply with unexpected id or source");
-        pending_data.erase(pit);
-        if (direct) {
-            // the holes fallback may rescatter from this buffer later
-            scatter_reply(kept_replies.emplace_back(std::move(reply)), head.npieces, from);
-        } else {
-            scatter_reply(reply, head.npieces, from);
+            fetched += piece.nbytes;
+            obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
+            out.add(std::move(piece.sub), std::move(located), src);
         }
     }
     c_bytes_fetched_.add(fetched);
     d_span.end_arg("bytes", fetched);
-    if (direct) {
-        // holes fallback: count the distinct elements the pieces covered
-        // (overlap-safe interval union over their runs); when short of
-        // the selection, zero the slice and replay every retained piece
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> iv;
-        for (const auto& r : recs)
-            for (const auto& run : r.sub.runs()) iv.emplace_back(run.file_off, run.file_off + run.len);
-        std::sort(iv.begin(), iv.end());
-        std::uint64_t covered = 0, hi = 0;
-        for (const auto& [a, b] : iv) {
-            if (covered == 0 || a > hi) {
-                covered += b - a;
-                hi = b;
-            } else if (b > hi) {
-                covered += b - hi;
-                hi = b;
-            }
-        }
-        if (covered < filespace.npoints()) {
-            obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
-            std::memset(direct, 0, filespace.npoints() * elem);
-            for (const auto& r : recs) merge_piece(r, direct);
-        }
-    } else {
-        obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
-        unpack_selection(memspace, packed.data(), elem, buf);
-    }
+    obs::ScopedTimerNs copy_timer(c_t_copy_ns_);
+    out.finish();
 }
 
 } // namespace lowfive

@@ -78,8 +78,8 @@ public:
 
     /// Block until every outstanding round has been served and stop the
     /// serve thread. Cannot hang: when the serve thread died (world
-    /// abort, malformed request) the wait ends, the thread is joined, and
-    /// its exception is rethrown here.
+    /// abort, a request a handler rejects) the wait ends, the thread is
+    /// joined, and its exception is rethrown here.
     void finish_serving();
 
     ~DistMetadataVol() override;
@@ -149,6 +149,7 @@ public:
         std::uint64_t n_intersect_cache_hits   = 0; ///< reads that skipped the intersect round
         std::uint64_t n_intersect_cache_misses = 0; ///< reads that had to run it
         std::uint64_t n_zero_copy_pieces  = 0; ///< reply pieces served as aliased buffers
+        std::uint64_t n_malformed_requests = 0; ///< requests dropped undecoded by the serve loop
         // streaming (producer side unless noted)
         std::uint64_t n_steps_published    = 0; ///< steps admitted to the staging window
         std::uint64_t n_steps_dropped      = 0; ///< steps evicted before full consumption
@@ -277,7 +278,7 @@ private:
 
     // serving: the serve thread and the producer thread share the
     // publish/teardown control state — files_/deferred_/done counters/
-    // round & step pins/stream windows — guarded by mutex_, which nothing
+    // round pins/stream windows — guarded by mutex_, which nothing
     // re-enters. The query hot path (Intersect/Data) does NOT take it: it
     // reads a pinned MVCC snapshot (snapshots_), enforced by the
     // serve-lock-after-pin lint under L5_CHECK. background_: see
@@ -287,8 +288,9 @@ private:
     mutable std::mutex          mutex_;
     std::condition_variable_any dones_cv_;
     // set (under mutex_) when serving fails — the serve thread died (world
-    // abort, malformed request) or an owed wait timed out — so waiters on
-    // dones_cv_ wake instead of hanging; finish_serving() surfaces it once
+    // abort, a request a handler rejects) or an owed wait timed out — so
+    // waiters on dones_cv_ wake instead of hanging; finish_serving()
+    // surfaces it once
     std::exception_ptr          serve_error_;
 
     // producer state
@@ -302,11 +304,6 @@ private:
     // round, no matter how many rewrites landed in between
     std::map<std::tuple<std::size_t, int, std::string>, std::vector<mvcc::SnapshotPin>>
         round_pins_;
-    // streaming (guarded by mutex_): one snapshot pin per wire StepPin /
-    // coordinator grant per versioned step name — a StepPin IS a snapshot
-    // pin; popped by StepRelease, so window eviction only ever retires
-    // unpinned snapshots
-    std::map<std::string, std::vector<mvcc::SnapshotPin>> step_pins_;
 
     // metadata queries for files that do not exist yet (a fast consumer
     // ran ahead, or a sync producer is not waiting in a close) and step
@@ -341,11 +338,12 @@ private:
     obs::Counter&   c_cache_misses_     = metrics_.counter("n_intersect_cache_misses");
     obs::Counter&   c_t_index_ns_       = metrics_.counter("time_index_ns");
     obs::Counter&   c_t_serve_ns_       = metrics_.counter("time_serve_ns");
+    obs::Counter&   c_malformed_requests_ = metrics_.counter("n_malformed_requests");
     obs::Counter&   c_t_query_ns_       = metrics_.counter("time_query_ns");
     obs::Counter&   c_t_intersect_ns_   = metrics_.counter("time_query_intersect_ns");
     obs::Counter&   c_t_data_ns_        = metrics_.counter("time_query_data_ns");
-    // data-plane breakdown: scatter/unpack (time_query_copy_ns) is a
-    // sub-phase of the data phase
+    // data-plane breakdown: merging reply pieces into the caller's
+    // buffer (time_query_copy_ns) is a sub-phase of the data phase
     obs::Counter&   c_zero_copy_pieces_ = metrics_.counter("n_zero_copy_pieces");
     obs::Counter&   c_t_copy_ns_        = metrics_.counter("time_query_copy_ns");
     obs::Histogram& h_query_ns_         = metrics_.histogram("query_latency_ns");

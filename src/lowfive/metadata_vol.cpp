@@ -302,21 +302,14 @@ void MetadataVol::dataset_read(void* dset, const Dataspace& memspace, const Data
         remote_dataset_read(f, h->node, memspace, filespace, buf);
         return;
     }
-    if (h->node && !h->node->pieces.empty()) {
-        if (memspace.npoints() != filespace.npoints())
-            throw Error("lowfive: dataset_read selection size mismatch");
-        const std::size_t      elem = h->node->type.size();
-        std::vector<std::byte> packed(filespace.npoints() * elem);
-        read_from_pieces(*h->node, filespace, packed.data());
-        unpack_selection(memspace, packed.data(), elem, buf);
-        return;
-    }
-    if (h->native) {
+    if (h->native && (!h->node || h->node->pieces.empty())) {
         native().dataset_read(h->native, memspace, filespace, buf);
         return;
     }
-    // in-memory dataset that was never written: fill value (zeros)
-    std::memset(buf, 0, memspace.npoints() * dataset_type(dset).size());
+    if (memspace.npoints() != filespace.npoints())
+        throw Error("lowfive: dataset_read selection size mismatch");
+    // an in-memory dataset never written reads the fill value (zeros)
+    h5::read_pieces(*h->node, filespace, memspace, buf);
 }
 
 void MetadataVol::remote_dataset_read(FileEntry&, Object*, const Dataspace&, const Dataspace&,

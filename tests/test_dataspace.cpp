@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 using namespace h5;
@@ -198,43 +199,66 @@ TEST(SelectionAlgebra, PackUnpackRoundtrip) {
     EXPECT_EQ(packed[2], 8u);
     EXPECT_EQ(packed[3], 11u);
 
+    // restore: the merge whose destination is the full buffer, located
+    // by pairing the selection with itself
     std::vector<std::uint32_t> restored(25, 999);
-    unpack_selection(sp, packed.data(), 4, restored.data());
+    gather_scatter(sp.runs_by_file(), packed.data(), sp, mapped_runs(sp, sp), restored.data(), 4);
     for (std::uint64_t i = 0; i < 25; ++i) {
         bool selected = (i / 5 >= 1 && i / 5 < 4 && i % 5 >= 1 && i % 5 < 4);
         EXPECT_EQ(restored[i], selected ? full[i] : 999u) << i;
     }
 }
 
-TEST(SelectionAlgebra, CopySelectedPairsIterationOrder) {
-    // copy a 2x3 region from one corner of src to another corner of dst
-    Dataspace src({4, 4}), dst({6, 6});
-    src.select_box(box2(0, 2, 0, 3));
-    dst.select_box(box2(3, 5, 2, 5));
+TEST(SelectionAlgebra, MappedRunsPairEnumerationOrder) {
+    // a 2x3 region of a 4x4 file selection pairs with a 2x3 box at
+    // another corner of a 6x6 memory buffer, row by row
+    Dataspace file({4, 4}), mem({6, 6});
+    file.select_box(box2(0, 2, 0, 3));
+    mem.select_box(box2(3, 5, 2, 5));
+    const auto runs = mapped_runs(file, mem);
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0].file_off, 0u);
+    EXPECT_EQ(runs[0].len, 3u);
+    EXPECT_EQ(runs[0].packed_off, 3u * 6 + 2);
+    EXPECT_EQ(runs[1].file_off, 4u);
+    EXPECT_EQ(runs[1].packed_off, 4u * 6 + 2);
+
+    // the merge copies buffer to buffer through both selections
     auto                       sbuf = iota_buffer(16);
     std::vector<std::uint32_t> dbuf(36, 0);
-    copy_selected(src, sbuf.data(), dst, dbuf.data(), 4);
-    // src row 0: 0,1,2 -> dst row 3 cols 2..4
+    gather_scatter(mapped_runs(file, file), sbuf.data(), file, runs, dbuf.data(), 4);
     EXPECT_EQ(dbuf[3 * 6 + 2], 0u);
-    EXPECT_EQ(dbuf[3 * 6 + 3], 1u);
     EXPECT_EQ(dbuf[3 * 6 + 4], 2u);
-    // src row 1: 4,5,6 -> dst row 4
     EXPECT_EQ(dbuf[4 * 6 + 2], 4u);
     EXPECT_EQ(dbuf[4 * 6 + 4], 6u);
-}
+    EXPECT_EQ(std::count(dbuf.begin(), dbuf.end(), 0u), 36 - 5); // one copied 0
 
-TEST(SelectionAlgebra, CopySelectedSizeMismatchThrows) {
-    Dataspace src({4}), dst({4});
-    src.select_box(diy::Bounds(1)), dst.select_box(diy::Bounds(1));
-    src.select_none();
-    dst.select_none();
-    diy::Bounds a(1), b(1);
-    a.min[0] = 0; a.max[0] = 2;
-    b.min[0] = 0; b.max[0] = 3;
-    src.add_box(a);
-    dst.add_box(b);
-    int buf[4] = {};
-    EXPECT_THROW(copy_selected(src, buf, dst, buf, 4), Error);
+    // boxes stored out of file order: the k-th elements still pair, and
+    // the runs come back sorted by file offset, split where either side's
+    // run ends
+    Dataspace two({4, 4}), flat({8});
+    two.select_none();
+    two.add_box(box2(2, 3, 0, 4));
+    two.add_box(box2(0, 1, 1, 3));
+    diy::Bounds b(1);
+    b.min[0] = 1;
+    b.max[0] = 7;
+    flat.select_box(b);
+    const auto split = mapped_runs(two, flat);
+    ASSERT_EQ(split.size(), 2u);
+    EXPECT_EQ(split[0].file_off, 1u); // row 0, cols 1-2: enumeration 4-5
+    EXPECT_EQ(split[0].len, 2u);
+    EXPECT_EQ(split[0].packed_off, 1u + 4);
+    EXPECT_EQ(split[1].file_off, 8u); // row 2: enumeration 0-3
+    EXPECT_EQ(split[1].len, 4u);
+    EXPECT_EQ(split[1].packed_off, 1u);
+
+    Dataspace short_mem({4});
+    diy::Bounds s(1);
+    s.min[0] = 0;
+    s.max[0] = 3;
+    short_mem.select_box(s);
+    EXPECT_THROW(mapped_runs(two, short_mem), Error);
 }
 
 TEST(SelectionAlgebra, ExtractFromPackedSubBox) {

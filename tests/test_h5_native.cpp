@@ -226,6 +226,49 @@ TEST_F(NativeVolTest, UnwrittenRegionReadsAsZero) {
     }
 }
 
+TEST_F(NativeVolTest, StridedMemspaceReadWithHoles) {
+    // rows 0-3 of an 8x4 grid are written, rows 2-3 twice (the later
+    // write wins); columns 1-2 are read into a padded 8x5 buffer, a
+    // multi-run memory selection. The unwritten rows read 0 and the
+    // padding keeps its poison, both before close (from the pieces) and
+    // after (from the file)
+    constexpr std::uint32_t poison = 0xdeadbeefu;
+    Dataspace               file({8, 4}), mem({8, 5});
+    file.select_box(box2(0, 8, 1, 3));
+    mem.select_box(box2(0, 8, 0, 2));
+    ASSERT_GT(mem.runs().size(), 1u);
+    auto check = [&](const Dataset& d) {
+        std::vector<std::uint32_t> buf(40, poison);
+        d.read(buf.data(), mem, file);
+        for (std::uint32_t x = 0; x < 8; ++x)
+            for (std::uint32_t c = 0; c < 5; ++c) {
+                const std::uint32_t y    = c + 1;
+                const std::uint32_t want = c >= 2 ? poison
+                                         : x < 2  ? 100 * x + y
+                                         : x < 4  ? 1000 + 100 * x + y
+                                                  : 0;
+                ASSERT_EQ(buf[x * 5 + c], want) << "at row " << x << ", column " << c;
+            }
+    };
+
+    auto vol = std::make_shared<NativeVol>();
+    {
+        File f = File::create(path("k.mh5"), vol);
+        auto d = f.create_dataset("g", dt::uint32(), Dataspace({8, 4}));
+        for (std::uint32_t w = 0; w < 2; ++w) {
+            Dataspace rows({8, 4});
+            rows.select_box(box2(2 * w, 4, 0, 4));
+            std::vector<std::uint32_t> v;
+            for (std::uint32_t x = 2 * w; x < 4; ++x)
+                for (std::uint32_t y = 0; y < 4; ++y) v.push_back(1000 * w + 100 * x + y);
+            d.write(v.data(), rows);
+        }
+        check(d);
+    }
+    File f = File::open(path("k.mh5"), vol);
+    check(f.open_dataset("g"));
+}
+
 TEST_F(NativeVolTest, CollectiveSharedFileWrite) {
     const std::string p = path("collective.mh5");
     simmpi::Runtime::run(4, [&](simmpi::Comm& comm) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <numeric>
 
@@ -121,7 +122,7 @@ TEST(MetadataVolTest, ZeroCopyPatternIsPerDataset) {
 
 TEST(MetadataVolTest, PartialWritesAndRedistributedRead) {
     // two row-wise writes, one column-wise read — the core local
-    // redistribution path (read_from_pieces)
+    // redistribution path (read_pieces)
     auto vol = std::make_shared<MetadataVol>();
     File f   = File::create("redist.h5", vol);
     auto d   = f.create_dataset("grid", dt::uint32(), Dataspace({4, 4}));
@@ -139,6 +140,48 @@ TEST(MetadataVolTest, PartialWritesAndRedistributedRead) {
     col.select_box(box2(0, 4, 1, 2));
     auto v = d.read_vector<std::uint32_t>(col);
     EXPECT_EQ(v, (std::vector<std::uint32_t>{1, 5, 9, 13}));
+}
+
+TEST(MetadataVolTest, StridedMemspaceReadWithHoles) {
+    // rows 0-3 of an 8x4 grid are written, rows 2-3 twice (the later
+    // write wins), as Deep and as Shallow pieces; columns 1-2 are read
+    // into a padded 8x5 buffer, a multi-run memory selection. The
+    // unwritten rows read 0 and the padding keeps its poison; so does
+    // every element of a dataset never written
+    constexpr std::uint32_t poison = 0xdeadbeefu;
+    Dataspace               file({8, 4}), mem({8, 5});
+    file.select_box(box2(0, 8, 1, 3));
+    mem.select_box(box2(0, 8, 0, 2));
+    ASSERT_GT(mem.runs().size(), 1u);
+    auto check = [&](const Dataset& d, bool written, const char* what) {
+        std::vector<std::uint32_t> buf(40, poison);
+        d.read(buf.data(), mem, file);
+        for (std::uint32_t x = 0; x < 8; ++x)
+            for (std::uint32_t c = 0; c < 5; ++c) {
+                const std::uint32_t y    = c + 1;
+                const std::uint32_t want = c >= 2                ? poison
+                                         : written && x < 2 ? 100 * x + y
+                                         : written && x < 4 ? 1000 + 100 * x + y
+                                                                 : 0;
+                ASSERT_EQ(buf[x * 5 + c], want) << what << " at row " << x << ", column " << c;
+            }
+    };
+    for (const bool shallow : {false, true}) {
+        auto vol = std::make_shared<MetadataVol>();
+        if (shallow) vol->set_zerocopy("*", "*");
+        File f = File::create("holes.h5", vol);
+        auto d = f.create_dataset("g", dt::uint32(), Dataspace({8, 4}));
+        std::array<std::vector<std::uint32_t>, 2> v; // Shallow pieces reference these
+        for (std::uint32_t w = 0; w < 2; ++w) {
+            Dataspace rows({8, 4});
+            rows.select_box(box2(2 * w, 4, 0, 4));
+            for (std::uint32_t x = 2 * w; x < 4; ++x)
+                for (std::uint32_t y = 0; y < 4; ++y) v[w].push_back(1000 * w + 100 * x + y);
+            d.write(v[w].data(), rows);
+        }
+        check(d, true, shallow ? "shallow" : "deep");
+        check(f.create_dataset("e", dt::uint32(), Dataspace({8, 4})), false, "never written");
+    }
 }
 
 TEST(MetadataVolTest, FileModePassthruWritesRealFile) {

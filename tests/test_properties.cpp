@@ -89,7 +89,7 @@ TEST_P(SelectionProperty, PackUnpackIsIdentityOnSelection) {
     std::vector<std::uint32_t> packed(sp.npoints());
     pack_selection(sp, full.data(), 4, packed.data());
     std::vector<std::uint32_t> restored(full.size(), 0);
-    unpack_selection(sp, packed.data(), 4, restored.data());
+    gather_scatter(sp.runs_by_file(), packed.data(), sp, mapped_runs(sp, sp), restored.data(), 4);
 
     for (std::uint64_t x = 0; x < dims[0]; ++x)
         for (std::uint64_t y = 0; y < dims[1]; ++y) {

@@ -2,7 +2,8 @@
 /// message encodes to exactly the bytes of its layout (built here field by
 /// field with BinaryBuffer), requests round-trip, an unknown op decodes to
 /// no request, malformed lengths throw before allocating, and a live
-/// serve loop drops an unknown op and keeps serving.
+/// serve loop drops and counts requests that do not decode and keeps
+/// serving.
 
 #include <diy/serialization.hpp>
 #include <lowfive/lowfive.hpp>
@@ -197,8 +198,10 @@ TEST(Protocol, MalformedFieldsThrowBeforeAllocating) {
 }
 
 TEST(Protocol, ServeLoopDropsUnknownOpAndKeepsServing) {
-    // an op no request has must be dropped by the serve thread, not kill
-    // it: the metadata query behind it is still answered
+    // a request that does not decode — an op no request has, an empty
+    // message, a truncated query, a name length far past the message —
+    // must be dropped and counted by the serve thread, not kill it: the
+    // metadata query behind them is still answered
     constexpr std::uint64_t n = 32;
     simmpi::Runtime::run(2, [&](simmpi::Comm& world) {
         simmpi::Comm     local = world.split(world.rank());
@@ -216,9 +219,20 @@ TEST(Protocol, ServeLoopDropsUnknownOpAndKeepsServing) {
                 f.close(); // publishes
             }
             vol->finish_serving(); // returns once the consumer's Done arrived
+            EXPECT_EQ(vol->stats().n_malformed_requests, 4u);
         } else {
             const std::byte unknown{9};
             ic.send(0, wire::tag_request, &unknown, 1);
+            ic.send(0, wire::tag_request, std::vector<std::byte>{});
+            auto truncated =
+                wire::encode(wire::IntersectQuery{7, "unk.h5", "/v", 1, box(0, 4, 0, 4)});
+            truncated.resize(truncated.size() / 2);
+            ic.send(0, wire::tag_request, std::move(truncated));
+            diy::BinaryBuffer huge_name; // a MetadataQuery claiming a 2^60-byte name
+            huge_name.save<std::uint8_t>(1);
+            huge_name.save<std::uint64_t>(std::uint64_t{1} << 60);
+            huge_name.save_raw("unk.h5", 6);
+            ic.send(0, wire::tag_request, bytes(std::move(huge_name)));
             wire::send(ic, 0, wire::MetadataQuery{"unk.h5"});
             const auto reply = wire::recv<wire::MetadataReply>(ic, 0);
             EXPECT_EQ(reply.version, 1u);

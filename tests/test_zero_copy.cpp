@@ -79,7 +79,7 @@ TEST(ZeroCopyServe, PartialCoverageHolesReadZero) {
     // the producer writes only the first half of the dataset; a read of
     // the whole extent receives the written half as an aliased payload
     // (sub equals the piece) and must still fill the unwritten half with
-    // zeros — the direct consumer path's lazy-fill fallback
+    // zeros — the read assembly's lazy fill
     const std::uint64_t total = 1u << 15;
     const std::uint64_t half  = total / 2;
     workflow::run(
@@ -259,43 +259,64 @@ TEST(ZeroCopyServe, CrossingSlabsHolesReadZero) {
 }
 
 TEST(ZeroCopyServe, StridedMemspaceStagesAliasedPieces) {
-    // a memory selection that is not one contiguous run (padded rows)
-    // takes the staging path: aliased pieces merge into the staging
-    // buffer, then unpack; the padding must stay untouched
+    // a memory selection that is not one contiguous run (padded rows):
+    // aliased pieces merge straight into the caller's buffer along the
+    // mapped runs, and the padding must stay untouched. With holes (one
+    // producer writes only the lower x half) the unwritten half must read
+    // 0 while the padding still keeps its poison. (The name predates the
+    // one read path; it is kept as a stable test ID.)
     constexpr std::uint64_t pad = 5;
-    workflow::run(
-        {
-            {"producer", 2,
-             [&](workflow::Context& ctx) {
-                 write_x_slab(ctx, "zc_cross_staged.h5");
-                 EXPECT_EQ(ctx.vol->stats().n_zero_copy_pieces, 1u);
-             }},
-            {"consumer", 1,
-             [&](workflow::Context& ctx) {
-                 h5::File   f    = h5::File::open("zc_cross_staged.h5", ctx.vol);
-                 const auto want = cross_slab(1, 0, 2);
-                 const auto cols = static_cast<std::uint64_t>(want.max[1] - want.min[1]);
-                 h5::Dataspace mem({cross_n, cols + pad});
-                 diy::Bounds   rows(2);
-                 rows.min = {0, 0};
-                 rows.max = {static_cast<std::int64_t>(cross_n), static_cast<std::int64_t>(cols)};
-                 mem.select_box(rows);
-                 ASSERT_GT(mem.runs().size(), 1u) << "memspace must not be one run";
-                 std::vector<std::uint64_t> buf(cross_n * (cols + pad), ~0ull);
-                 f.open_dataset("g").read(buf.data(), mem, cross_selection(want));
-                 for (std::uint64_t x = 0; x < cross_n; ++x)
-                     for (std::uint64_t c = 0; c < cols + pad; ++c) {
-                         const auto got = buf[x * (cols + pad) + c];
-                         if (c < cols)
-                             ASSERT_EQ(got, cross_value(static_cast<std::int64_t>(x),
-                                                        want.min[1] + static_cast<std::int64_t>(c)));
-                         else
-                             ASSERT_EQ(got, ~0ull) << "padding written at row " << x;
+    const std::int64_t      n   = static_cast<std::int64_t>(cross_n);
+    for (const bool holes : {false, true}) {
+        const std::string fname = holes ? "zc_cross_strided_holes.h5" : "zc_cross_strided.h5";
+        workflow::run(
+            {
+                {"producer", holes ? 1 : 2,
+                 [&](workflow::Context& ctx) {
+                     if (!holes) {
+                         write_x_slab(ctx, fname);
+                     } else {
+                         h5::File f = h5::File::create(fname, ctx.vol);
+                         auto     d = f.create_dataset("g", h5::dt::uint64(),
+                                                       h5::Dataspace({cross_n, cross_n}));
+                         const auto                 lower = cross_slab(0, 0, 2);
+                         std::vector<std::uint64_t> vals;
+                         for (auto x = lower.min[0]; x < lower.max[0]; ++x)
+                             for (auto y = lower.min[1]; y < lower.max[1]; ++y)
+                                 vals.push_back(cross_value(x, y));
+                         d.write(vals.data(), cross_selection(lower));
+                         f.close();
                      }
-                 f.close();
-             }},
-        },
-        {workflow::Link{0, 1, "*"}});
+                     EXPECT_EQ(ctx.vol->stats().n_zero_copy_pieces, 1u);
+                 }},
+                {"consumer", 1,
+                 [&](workflow::Context& ctx) {
+                     h5::File      f    = h5::File::open(fname, ctx.vol);
+                     const auto    want = cross_slab(1, 0, 2);
+                     const auto    cols = static_cast<std::uint64_t>(want.max[1] - want.min[1]);
+                     h5::Dataspace mem({cross_n, cols + pad});
+                     diy::Bounds   rows(2);
+                     rows.min = {0, 0};
+                     rows.max = {n, static_cast<std::int64_t>(cols)};
+                     mem.select_box(rows);
+                     ASSERT_GT(mem.runs().size(), 1u) << "memspace must not be one run";
+                     std::vector<std::uint64_t> buf(cross_n * (cols + pad), ~0ull);
+                     f.open_dataset("g").read(buf.data(), mem, cross_selection(want));
+                     for (std::uint64_t x = 0; x < cross_n; ++x)
+                         for (std::uint64_t c = 0; c < cols + pad; ++c) {
+                             const auto xi = static_cast<std::int64_t>(x);
+                             const auto y  = want.min[1] + static_cast<std::int64_t>(c);
+                             const auto expect = c >= cols                 ? ~0ull // padding
+                                                 : holes && xi >= n / 2 ? 0u    // hole
+                                                                        : cross_value(xi, y);
+                             ASSERT_EQ(buf[x * (cols + pad) + c], expect)
+                                 << "at row " << x << ", column " << c;
+                         }
+                     f.close();
+                 }},
+            },
+            {workflow::Link{0, 1, "*"}});
+    }
 }
 
 TEST(ZeroCopyServe, ShallowPartialPiecesExtract) {
