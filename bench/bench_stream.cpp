@@ -75,8 +75,9 @@ double run_trial(lowfive::stream::StepPolicy policy, ScenarioResult* sink) {
             {"producer", nprod,
              [&](Context& ctx) {
                  const std::uint64_t half = points / nprod;
+                 ctx.vol->set_stream("bs.h5", cfg);
                  double t = benchcommon::timed_section(ctx.local, [&] {
-                     lowfive::stream::Writer w(ctx.vol, "bs.h5", cfg);
+                     lowfive::stream::Writer w(ctx.vol, "bs.h5");
                      for (int s = 0; s < nsteps; ++s) {
                          File& f = w.begin_step();
                          auto  d = f.create_dataset("v", dt::uint64(), Dataspace({points}));
@@ -101,7 +102,7 @@ double run_trial(lowfive::stream::StepPolicy policy, ScenarioResult* sink) {
              }},
             {"consumer", ncons,
              [&](Context& ctx) {
-                 lowfive::stream::Reader r(ctx.vol, "bs.h5", cfg);
+                 lowfive::stream::Reader r(ctx.vol, "bs.h5");
                  while (r.next_step()) {
                      const auto step = r.current_step().value();
                      auto       d    = r.file().open_dataset("v");

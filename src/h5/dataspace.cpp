@@ -675,23 +675,6 @@ std::vector<SelRun> located_runs(const Dataspace& sub, std::span<const PackedBox
     return runs;
 }
 
-void extract_from_packed(const Dataspace& piece_space, const void* piece_packed,
-                         const Dataspace& want, std::size_t elem, std::vector<std::byte>& out) {
-    obs::Span span("extract_from_packed", "h5.kernel",
-                   {{"bytes", want.npoints() * elem, nullptr}});
-    const auto base = out.size();
-    out.resize(base + want.npoints() * elem);
-    merge(piece_space.runs_by_file(), piece_packed, want, want.runs_by_file(), out.data() + base,
-          elem);
-}
-
-void scatter_into_packed(const Dataspace& dest_space, void* dest_packed, const Dataspace& sub,
-                         const void* sub_packed, std::size_t elem) {
-    obs::Span span("scatter_into_packed", "h5.kernel",
-                   {{"bytes", sub.npoints() * elem, nullptr}});
-    merge(sub.runs_by_file(), sub_packed, sub, dest_space.runs_by_file(), dest_packed, elem);
-}
-
 // --- naive reference kernels -------------------------------------------------
 //
 // The pre-coalescing implementations: rebuild the (uncoalesced) run list
@@ -717,10 +700,10 @@ void extract_from_packed_naive(const Dataspace& piece_space, const void* piece_p
             auto it = std::upper_bound(pruns.begin(), pruns.end(), target,
                                        [](std::uint64_t v, const Run& r) { return v < r.file_off; });
             if (it == pruns.begin())
-                throw Error("h5: extract_from_packed: requested element not covered by piece");
+                throw Error("h5: extract_from_packed_naive: requested element not covered by piece");
             --it;
             if (target >= it->file_off + it->len)
-                throw Error("h5: extract_from_packed: requested element not covered by piece");
+                throw Error("h5: extract_from_packed_naive: requested element not covered by piece");
             std::uint64_t within = target - it->file_off;
             std::uint64_t avail  = it->len - within;
             std::uint64_t take   = std::min(avail, n - copied);
@@ -746,10 +729,10 @@ void scatter_into_packed_naive(const Dataspace& dest_space, void* dest_packed,
             auto it = std::upper_bound(druns.begin(), druns.end(), target,
                                        [](std::uint64_t v, const Run& r) { return v < r.file_off; });
             if (it == druns.begin())
-                throw Error("h5: scatter_into_packed: element not covered by destination");
+                throw Error("h5: scatter_into_packed_naive: element not covered by destination");
             --it;
             if (target >= it->file_off + it->len)
-                throw Error("h5: scatter_into_packed: element not covered by destination");
+                throw Error("h5: scatter_into_packed_naive: element not covered by destination");
             std::uint64_t within = target - it->file_off;
             std::uint64_t avail  = it->len - within;
             std::uint64_t take   = std::min(avail, n - copied);

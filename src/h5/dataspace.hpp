@@ -244,22 +244,6 @@ LocatedIntersection intersect_located(const Dataspace& piece, const Dataspace& q
 std::vector<SelRun> located_runs(const Dataspace& sub, std::span<const PackedBox> where,
                                  std::uint64_t buf_elems);
 
-/// Extract a sub-selection from a *packed* piece. `piece_space` describes
-/// how `piece_packed` is laid out (its selection, in iteration order);
-/// `want` is a selection covered by piece_space's selection. The selected
-/// elements are appended to `out` in `want`'s iteration order. The fused
-/// merge with the destination laid out as `want`.
-void extract_from_packed(const Dataspace& piece_space, const void* piece_packed,
-                         const Dataspace& want, std::size_t elem,
-                         std::vector<std::byte>& out);
-
-/// Inverse of extract_from_packed: write `sub_packed` (the elements of
-/// `sub`, in sub's iteration order) into `dest_packed`, which is laid out
-/// in `dest_space`'s selection iteration order. `sub` must be covered by
-/// dest_space's selection. The fused merge with the source laid out as `sub`.
-void scatter_into_packed(const Dataspace& dest_space, void* dest_packed, const Dataspace& sub,
-                         const void* sub_packed, std::size_t elem);
-
 /// Extract `want` (a sub-selection of `filespace`'s selection, in file
 /// coordinates) directly from a user memory buffer described by
 /// `memspace`, where the k-th element of filespace's enumeration lives at
@@ -277,10 +261,17 @@ void extract_via_mapping(const Dataspace& filespace, const Dataspace& memspace,
 // correctness oracle for the property tests. Behaviour is byte-identical
 // to the fused merge behind the kernels above.
 
+/// Append the elements of `want` (covered by piece_space's selection) to
+/// `out` in want's iteration order, reading them from `piece_packed`,
+/// which is laid out in piece_space's iteration order: gather_scatter
+/// with the destination laid out as `want`.
 void extract_from_packed_naive(const Dataspace& piece_space, const void* piece_packed,
                                const Dataspace& want, std::size_t elem,
                                std::vector<std::byte>& out);
 
+/// Write `sub_packed` (sub's elements in its iteration order) into
+/// `dest_packed`, which is laid out in dest_space's iteration order:
+/// gather_scatter with the source laid out as `sub`.
 void scatter_into_packed_naive(const Dataspace& dest_space, void* dest_packed,
                                const Dataspace& sub, const void* sub_packed,
                                std::size_t elem);

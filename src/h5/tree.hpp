@@ -49,15 +49,6 @@ struct DataPiece {
     const std::vector<std::byte>* packed_bytes() const {
         return ownership == Ownership::Deep ? &owned : nullptr;
     }
-
-    /// Extract `want` (file coordinates, subset of filespace) into `out`,
-    /// in want's iteration order, regardless of ownership mode.
-    void extract(const Dataspace& want, std::size_t elem, std::vector<std::byte>& out) const {
-        if (ownership == Ownership::Deep)
-            extract_from_packed(filespace, owned.data(), want, elem, out);
-        else
-            extract_via_mapping(filespace, memspace, ref, want, elem, out);
-    }
 };
 
 /// A node of the in-memory metadata hierarchy (file, group, or dataset),

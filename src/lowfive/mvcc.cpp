@@ -186,6 +186,14 @@ SnapshotPin SnapshotStore::pin(const std::string& name, std::uint64_t version) c
     return SnapshotPin(vit->second);
 }
 
+std::uint64_t SnapshotStore::last_version(const std::string& name) const {
+    std::lock_guard<std::mutex> lk(state_->mutex);
+    l5race::LockHold rh(&state_->mutex, "mvcc/last_version", "mvcc.leaf");
+    L5_SHARED_READ(state_.get(), "next_version", "mvcc/last_version");
+    const auto it = state_->next_version.find(name);
+    return it == state_->next_version.end() ? 0 : it->second;
+}
+
 std::size_t SnapshotStore::live_snapshots() const {
     std::lock_guard<std::mutex> lk(state_->mutex);
     l5race::LockHold rh(&state_->mutex, "mvcc/live_snapshots", "mvcc.leaf");

@@ -183,6 +183,10 @@ public:
     /// otherwise; empty pin when that version is gone.
     SnapshotPin pin(const std::string& name, std::uint64_t version) const;
 
+    /// The version the last publish of `name` got; 0 before the first
+    /// (and after a retire that forgot the name's versions).
+    std::uint64_t last_version(const std::string& name) const;
+
     /// Live versions across all names (the n_snapshots_live gauge).
     std::size_t live_snapshots() const;
     /// SnapshotPin handles currently alive (the leaked-pin lint input).

@@ -75,17 +75,17 @@ struct Done {
 };
 
 // streaming (see DESIGN.md § Streaming transport): the consumer task's
-// rank 0 asks producer rank 0 (the coordinator) for the next step >= min
-// (the newest when `latest`), pins it on every other producer rank, and
-// releases all pins once every consumer rank finished reading the step. A
-// `rollback` release undoes the pins of a step some rank already evicted.
+// rank 0 asks producer rank 0 (the coordinator) for a step >= min (its
+// window's policy picks the oldest or the newest), pins it on every other
+// producer rank, and releases all pins once every consumer rank finished
+// reading the step. A `rollback` release undoes the pins of a step some
+// rank already evicted.
 
 struct StepNext {
     static constexpr std::uint8_t op = 5;
     std::string                   base;
-    std::uint64_t                 min    = 0;
-    bool                          latest = false;
-    static auto fields(auto& m) { return std::tie(m.base, m.min, m.latest); }
+    std::uint64_t                 min = 0;
+    static auto fields(auto& m) { return std::tie(m.base, m.min); }
 };
 
 struct StepPin {

@@ -2,8 +2,6 @@
 
 #include <h5/dataspace.hpp> // h5::Error
 
-#include <cstdlib>
-
 namespace lowfive::stream {
 
 namespace {
@@ -28,26 +26,6 @@ const char* to_string(StepPolicy p) {
     case StepPolicy::LatestOnly: return "latest_only";
     }
     return "?";
-}
-
-StreamConfig StreamConfig::from_env() {
-    StreamConfig cfg;
-    if (const char* e = std::getenv("L5_STEP_WINDOW"); e && *e) {
-        char*      end = nullptr;
-        const long v   = std::strtol(e, &end, 10);
-        if (!end || *end != '\0' || v <= 0)
-            throw h5::Error("lowfive: L5_STEP_WINDOW must be a positive integer, got '"
-                            + std::string(e) + "'");
-        cfg.window = static_cast<std::size_t>(v);
-    }
-    if (const char* e = std::getenv("L5_STEP_POLICY"); e && *e) {
-        auto p = parse_policy(e);
-        if (!p)
-            throw h5::Error("lowfive: L5_STEP_POLICY must be block|drop|latest_only, got '"
-                            + std::string(e) + "'");
-        cfg.policy = *p;
-    }
-    return cfg;
 }
 
 StreamConfig StreamConfig::normalized() const {

@@ -58,19 +58,16 @@ enum class StepPolicy : std::uint8_t {
 std::optional<StepPolicy> parse_policy(const std::string& s);
 const char*               to_string(StepPolicy p);
 
-/// Per-stream knobs, resolved at Writer/Reader construction: explicit
-/// argument > DistMetadataVol::set_stream pattern > environment.
+/// Per-stream knobs, registered on the producer's vol with
+/// DistMetadataVol::set_stream and resolved when its Writer is built;
+/// consumers follow the producer's window.
 struct StreamConfig {
-    std::size_t window = 4;                       ///< staging window (L5_STEP_WINDOW)
-    StepPolicy  policy = StepPolicy::Block;       ///< full-window behavior (L5_STEP_POLICY)
+    std::size_t window = 4;                 ///< staging window (steps)
+    StepPolicy  policy = StepPolicy::Block; ///< full-window behavior
     /// Block policy only: how long one publish may wait for window space
     /// before throwing TimeoutError; <= 0 defers to the communicator's
     /// effective deadline (with_deadline / L5_TIMEOUT_MS).
     std::int64_t timeout_ms = 0;
-
-    /// Window/policy from L5_STEP_WINDOW / L5_STEP_POLICY (defaults 4 /
-    /// block). Throws h5::Error on a malformed value.
-    static StreamConfig from_env();
 
     /// Enforce the policy invariants: latest_only forces window 1, and
     /// every window is at least 1.

@@ -4,11 +4,10 @@ namespace lowfive::stream {
 
 // --- Writer ---------------------------------------------------------------------
 
-Writer::Writer(std::shared_ptr<DistMetadataVol> vol, std::string name,
-               std::optional<StreamConfig> cfg)
+Writer::Writer(std::shared_ptr<DistMetadataVol> vol, std::string name)
     : vol_(std::move(vol)), name_(std::move(name)) {
     if (!vol_) throw h5::Error("lowfive: stream::Writer requires a vol");
-    cfg_ = vol_->stream_begin(name_, cfg);
+    cfg_ = vol_->stream_begin(name_);
 }
 
 Writer::~Writer() {
@@ -51,11 +50,10 @@ void Writer::close() {
 
 // --- Reader ---------------------------------------------------------------------
 
-Reader::Reader(std::shared_ptr<DistMetadataVol> vol, std::string name,
-               std::optional<StreamConfig> cfg)
+Reader::Reader(std::shared_ptr<DistMetadataVol> vol, std::string name)
     : vol_(std::move(vol)), name_(std::move(name)) {
     if (!vol_) throw h5::Error("lowfive: stream::Reader requires a vol");
-    cfg_ = vol_->stream_subscribe(name_, cfg);
+    vol_->stream_subscribe(name_);
 }
 
 Reader::~Reader() {
@@ -75,7 +73,7 @@ bool Reader::next_step() {
         vol_->stream_release(name_, prev);  // collective: unpin everywhere
         current_ = StepId{};
     }
-    auto got = vol_->stream_acquire(name_, prev.next(), cfg_.policy == StepPolicy::LatestOnly);
+    auto got = vol_->stream_acquire(name_, prev.next());
     if (!got) {
         done_ = true;
         return false;

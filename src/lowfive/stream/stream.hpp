@@ -24,10 +24,11 @@
 /// Every step is an immutable versioned snapshot: end_step() indexes and
 /// publishes it into the bounded staging window, next_step() pins one
 /// step on every producer rank so it cannot be evicted while reads are
-/// in flight, and closing the step's file releases those pins. Both
-/// sides resolve their StreamConfig the same way (explicit argument >
-/// vol->set_stream pattern > L5_STEP_WINDOW/L5_STEP_POLICY), so keep the
-/// two in agreement — workflow links with `stream:` wire both ends.
+/// in flight, and closing the step's file releases those pins. Only the
+/// producer configures a stream: the Writer runs under the first
+/// vol->set_stream pattern that matches its name (workflow links with
+/// `stream:` register it), and that window's policy decides which step
+/// each of the Reader's acquires gets.
 
 #include "../dist_vol.hpp"
 #include "step.hpp"
@@ -35,18 +36,17 @@
 #include <h5/api.hpp>
 
 #include <memory>
-#include <optional>
 #include <string>
 
 namespace lowfive::stream {
 
-/// Producer handle: publishes versioned snapshots of `name`. Forces the
-/// owning vol into background serving (consumers drain asynchronously).
-/// Requires in-memory mode for the stream's base name.
+/// Producer handle: publishes versioned snapshots of `name` under the
+/// vol's set_stream config for it. Forces the owning vol into background
+/// serving (consumers drain asynchronously). Requires in-memory mode for
+/// the stream's base name.
 class Writer {
 public:
-    Writer(std::shared_ptr<DistMetadataVol> vol, std::string name,
-           std::optional<StreamConfig> cfg = std::nullopt);
+    Writer(std::shared_ptr<DistMetadataVol> vol, std::string name);
     ~Writer(); ///< implicit close(); swallows errors like h5::File
 
     Writer(const Writer&)            = delete;
@@ -85,20 +85,17 @@ private:
 /// reads the same frozen snapshot.
 class Reader {
 public:
-    Reader(std::shared_ptr<DistMetadataVol> vol, std::string name,
-           std::optional<StreamConfig> cfg = std::nullopt);
+    Reader(std::shared_ptr<DistMetadataVol> vol, std::string name);
     ~Reader(); ///< implicit close(); swallows errors like h5::File
 
     Reader(const Reader&)            = delete;
     Reader& operator=(const Reader&) = delete;
 
-    const StreamConfig& config() const { return cfg_; }
-
     /// Release the current step (if any) and acquire the next one: the
-    /// oldest available step newer than the last one seen — or the
-    /// newest published step under latest_only, skipping intermediate
-    /// steps. Blocks until a step is published; returns false at end of
-    /// stream. The acquired step is pinned on every producer rank until
+    /// oldest available step newer than the last one seen — or, when the
+    /// producer's policy is latest_only, the newest published step,
+    /// skipping intermediate steps. Blocks until a step is published;
+    /// returns false at end of stream. The acquired step is pinned on every producer rank until
     /// the next next_step()/close().
     bool next_step();
 
@@ -116,7 +113,6 @@ public:
 private:
     std::shared_ptr<DistMetadataVol> vol_;
     std::string                      name_;
-    StreamConfig                     cfg_;
     h5::File                         file_;
     StepId                           current_;
     bool                             done_   = false;

@@ -76,7 +76,7 @@ void StepWindow::publish(StepId step, std::uint64_t publish_ns) {
     last_published_ = step;
 }
 
-StepWindow::Acquire StepWindow::acquire(StepId min, bool latest) {
+StepWindow::Acquire StepWindow::acquire(StepId min) {
     L5_SHARED_WRITE(this, "window", "window/acquire");
     Acquire r;
     auto    it = steps_.lower_bound(min);
@@ -84,7 +84,7 @@ StepWindow::Acquire StepWindow::acquire(StepId min, bool latest) {
         r.status = eos_ ? Acquire::Status::eos : Acquire::Status::retry_later;
         return r;
     }
-    if (latest) it = std::prev(steps_.end()); // newest windowed step
+    if (cfg_.policy == StepPolicy::LatestOnly) it = std::prev(steps_.end()); // newest step
     ++it->second.refs;
     ++it->second.acquires;
     r.status = Acquire::Status::granted;

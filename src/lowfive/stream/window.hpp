@@ -91,7 +91,7 @@ public:
     StepId last_published() const { return last_published_; }
 
     /// Coordinator-side acquire: grant the oldest windowed step >= `min`
-    /// (the newest instead when `latest`), pinning it. `retry_later`
+    /// (the newest instead under latest_only), pinning it. `retry_later`
     /// means nothing is available yet and the stream is still open — the
     /// caller defers the request until the next publish or eos.
     struct Acquire {
@@ -99,7 +99,7 @@ public:
         Status status = Status::retry_later;
         StepId step;
     };
-    Acquire acquire(StepId min, bool latest);
+    Acquire acquire(StepId min);
 
     /// Non-coordinator pin; false when the step is gone (this rank's
     /// window raced ahead — the consumer releases and retries higher).
@@ -108,7 +108,7 @@ public:
     /// Drop one pin. First release that empties the pins of an acquired
     /// step reports it drained (with the publish timestamp, for latency
     /// accounting); nullopt when the step is unknown or unpinned — a
-    /// protocol error the caller escalates.
+    /// protocol error the serve loop drops and counts.
     struct Released {
         bool          first_drain = false;
         std::uint64_t publish_ns  = 0;

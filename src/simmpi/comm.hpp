@@ -77,10 +77,6 @@ public:
         if (auto* ck = world_->checker()) ck->allow_wildcard(context_, tag, why);
     }
 
-    /// Feed a stream step lifecycle event ("publish", "acquire",
-    /// "release") to the checker's step-order lint (step versions must
-    /// move strictly forward per rank and stream; see
-    /// l5check::Checker::on_step). No-op when the checker is off.
     /// Report a component-owned resource leak found at a finalize-like
     /// point (l5check::Checker::on_leak); `kind` is the diagnostic kind
     /// (e.g. "leaked-snapshot-pin"). No-op when the checker is off.
@@ -89,10 +85,15 @@ public:
         if (auto* ck = world_->checker()) ck->on_leak(world_rank(), kind, message);
     }
 
+    /// Feed a stream step lifecycle event ("publish", "acquire",
+    /// "release") to the checker's step-order lint (step versions must
+    /// move strictly forward per rank and stream; see
+    /// l5check::Checker::on_step). No-op when the checker is off.
     void check_step(const char* event, const std::string& stream, std::uint64_t step) const {
         if (!world_) throw Error("simmpi: operation on an invalid communicator");
         if (auto* ck = world_->checker()) ck->on_step(world_rank(), event, stream, step);
     }
+
     /// Number of ranks messages can be addressed to (remote group size for
     /// intercommunicators, local size otherwise).
     int  peer_size() const { return static_cast<int>(peer_group_.size()); }

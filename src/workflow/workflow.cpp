@@ -90,9 +90,9 @@ void run(const std::vector<TaskSpec>& tasks, const std::vector<Link>& links,
             const Link& l = links[i];
             if (l.producer == task_index) ctx.vol->serve_to(link_comms[i], l.pattern);
             if (l.consumer == task_index) ctx.vol->consume_from(link_comms[i], l.pattern);
-            // streamed edge: register the same window/policy on both
-            // ends so Writer and Reader resolve matching configs
-            if (!l.stream.empty() && (l.producer == task_index || l.consumer == task_index)) {
+            // streamed edge: the producer's window alone decides what
+            // its consumers acquire, so only that end registers it
+            if (!l.stream.empty() && l.producer == task_index) {
                 auto policy = lowfive::stream::parse_policy(l.stream);
                 if (!policy)
                     throw std::runtime_error("workflow: link stream policy '" + l.stream

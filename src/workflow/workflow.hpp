@@ -77,11 +77,11 @@ struct Link {
     std::string pattern = "*";
     /// Step-versioned streaming for files matching `pattern`: empty = off;
     /// otherwise the backpressure policy ("block" | "drop" | "latest_only")
-    /// registered on both ends via DistMetadataVol::set_stream. Config
-    /// files spell this `stream:` (and `window:`) on a link.
+    /// registered on the producer end via DistMetadataVol::set_stream.
+    /// Config files spell this `stream:` (and `window:`) on a link.
     std::string stream;
-    /// Staging-window size for the streamed files; 0 = the default (4,
-    /// or L5_STEP_WINDOW). latest_only always runs with a window of 1.
+    /// Staging-window size for the streamed files; 0 = the default (4).
+    /// latest_only always runs with a window of 1.
     int stream_window = 0;
 
     // not an aggregate: the constructor keeps pre-streaming three-field

@@ -270,10 +270,10 @@ TEST(SelectionAlgebra, ExtractFromPackedSubBox) {
     Dataspace want({8, 8});
     want.select_box(box2(1, 3, 2, 4));
 
-    std::vector<std::byte> out;
-    extract_from_packed(piece, packed.data(), want, 4, out);
-    ASSERT_EQ(out.size(), 4u * 4u);
-    const auto* vals = reinterpret_cast<const std::uint32_t*>(out.data());
+    // an extract: gather_scatter with the destination laid out as want
+    std::vector<std::uint32_t> vals(want.npoints());
+    gather_scatter(piece.runs_by_file(), packed.data(), want, want.runs_by_file(), vals.data(), 4);
+    ASSERT_EQ(vals.size(), 4u);
     // piece packing: row-major over 4x8 region, so (r,c) -> 8r + c
     EXPECT_EQ(vals[0], 8u * 1 + 2);
     EXPECT_EQ(vals[1], 8u * 1 + 3);
@@ -287,8 +287,10 @@ TEST(SelectionAlgebra, ExtractUncoveredThrows) {
     auto      packed = iota_buffer(4);
     Dataspace want({4, 4});
     want.select_box(box2(2, 4, 2, 4));
-    std::vector<std::byte> out;
-    EXPECT_THROW(extract_from_packed(piece, packed.data(), want, 4, out), Error);
+    std::vector<std::byte> out(want.npoints() * 4);
+    EXPECT_THROW(gather_scatter(piece.runs_by_file(), packed.data(), want, want.runs_by_file(),
+                                out.data(), 4),
+                 Error);
 }
 
 TEST(SelectionAlgebra, ScatterIntoPackedInverse) {
@@ -300,7 +302,9 @@ TEST(SelectionAlgebra, ScatterIntoPackedInverse) {
     sub.select_box(box2(2, 4, 2, 4));
     std::vector<std::uint32_t> sub_packed{11, 22, 33, 44};
 
-    scatter_into_packed(dest, dest_packed.data(), sub, sub_packed.data(), 4);
+    // a scatter: gather_scatter with the source laid out as sub
+    gather_scatter(sub.runs_by_file(), sub_packed.data(), sub, dest.runs_by_file(),
+                   dest_packed.data(), 4);
     EXPECT_EQ(dest_packed[2 * 6 + 2], 11u);
     EXPECT_EQ(dest_packed[2 * 6 + 3], 22u);
     EXPECT_EQ(dest_packed[3 * 6 + 2], 33u);

@@ -482,6 +482,89 @@ TEST(DistVol, SyncOpensPairWithTheirClose) {
         {Link{0, 1, "*"}}, opts);
 }
 
+TEST(DistVol, FastConsumerRankReadsEveryRoundOnce) {
+    // no barrier pairs the consumer ranks: rank 0 finishes each round
+    // while rank 1 still reads it. A sync producer must park rank 0's
+    // next open until the round after, not answer it with the round it
+    // just closed — or its extra Done completes the producer's close
+    // under rank 1, which then skips rounds
+    constexpr int           rounds = 6;
+    constexpr std::uint64_t n      = 64;
+    Options                 opts;
+    opts.mode = workflow::Mode::in_situ();
+    workflow::run(
+        {
+            {"producer", 2,
+             [](Context& ctx) {
+                 for (int r = 0; r < rounds; ++r) {
+                     File f = File::create("fast.h5", ctx.vol);
+                     f.write_attribute("round", r);
+                     auto        d  = f.create_dataset("v", dt::int64(), Dataspace({n}));
+                     const auto  lo = n * static_cast<std::uint64_t>(ctx.rank()) / 2;
+                     const auto  hi = n * static_cast<std::uint64_t>(ctx.rank() + 1) / 2;
+                     Dataspace   sel({n});
+                     diy::Bounds b(1);
+                     b.min[0] = static_cast<std::int64_t>(lo);
+                     b.max[0] = static_cast<std::int64_t>(hi);
+                     sel.select_box(b);
+                     std::vector<std::int64_t> v(hi - lo);
+                     for (std::uint64_t i = lo; i < hi; ++i)
+                         v[i - lo] = r * 1000 + static_cast<std::int64_t>(i);
+                     d.write(v.data(), sel);
+                     f.close();
+                 }
+             }},
+            {"consumer", 2,
+             [](Context& ctx) {
+                 for (int r = 0; r < rounds; ++r) {
+                     File f = File::open("fast.h5", ctx.vol);
+                     EXPECT_EQ(f.read_attribute<int>("round"), r) << "rank " << ctx.rank();
+                     auto        v   = f.open_dataset("v").read_vector<std::int64_t>();
+                     std::size_t bad = 0;
+                     for (std::uint64_t i = 0; i < n; ++i)
+                         bad += v[i] != r * 1000 + static_cast<std::int64_t>(i);
+                     EXPECT_EQ(bad, 0u) << "round " << r << " rank " << ctx.rank();
+                     if (ctx.rank() == 1) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                     f.close();
+                 }
+             }},
+        },
+        {Link{0, 1, "*"}}, opts);
+}
+
+TEST(DistVol, DoneAheadOfALaggingProducerRankIsKept) {
+    // a file with no dataset publishes with no collective, so producer
+    // rank 1 can lag a whole round behind rank 0: the consumer opens
+    // round r from rank 0 and its Done for r reaches rank 1 before rank 1
+    // published r. That Done must still count for round r there, or
+    // rank 1's close waits for a Done that never comes again
+    constexpr int rounds = 4;
+    Options       opts;
+    opts.mode                       = workflow::Mode::in_situ();
+    opts.runtime.default_timeout_ms = 10000;
+    workflow::run(
+        {
+            {"producer", 2,
+             [](Context& ctx) {
+                 for (int r = 0; r < rounds; ++r) {
+                     if (ctx.rank() == 1) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                     File f = File::create("lag.h5", ctx.vol);
+                     f.write_attribute("round", r);
+                     f.close();
+                 }
+             }},
+            {"consumer", 1,
+             [](Context& ctx) {
+                 for (int r = 0; r < rounds; ++r) {
+                     File f = File::open("lag.h5", ctx.vol);
+                     EXPECT_EQ(f.read_attribute<int>("round"), r);
+                     f.close();
+                 }
+             }},
+        },
+        {Link{0, 1, "*"}}, opts);
+}
+
 TEST(DistVol, FileModeThroughPhysicalStorage) {
     PfsModel::instance().configure(0, 0);
     // pid-unique name: parallel sweeps (mh5sched --jobs N) run several
@@ -623,7 +706,6 @@ TEST(DistVolPiecePool, RewriteRoundsReuseBuffersByteForByte) {
         {
             {"producer", nprod,
              [&](Context& ctx) {
-                 ctx.vol->set_zero_copy_min_bytes(1); // crossing reads alias the pieces
                  for (std::size_t r = 0; r < rows.size(); ++r) {
                      write_pool_round(ctx, "pool_rw.h5", r, rows[r]);
                      EXPECT_EQ(ctx.vol->stats().piece_pool_bytes,
@@ -746,7 +828,6 @@ TEST(DistVolPiecePool, ConsumerThreadHarvestFeedsTheNextWrite) {
         {
             {"producer", n,
              [&](Context& ctx) {
-                 ctx.vol->set_zero_copy_min_bytes(1);
                  for (std::uint64_t r = 0; r < rounds; ++r) {
                      write_pool_round(ctx, "pool_bg.h5", r, rows);
                      if (r + 1 < rounds) {

@@ -130,8 +130,9 @@ TEST(KernCopy, SegmentsIncludingZeroLength) {
 
 namespace {
 
-/// Run extract_from_packed / scatter_into_packed / extract_via_mapping /
-/// pack / restore and compare byte-for-byte against the naive oracle
+/// Run extract and scatter (gather_scatter with the destination, or the
+/// source, laid out as the moved selection), extract_via_mapping, pack
+/// and restore, and compare byte-for-byte against the naive oracle
 /// outputs computed by the *_naive entry points.
 void check_kernels_match_oracle(std::mt19937& rng, std::size_t elem) {
     const Extent dims{8 + rng() % 40, 4 + rng() % 32};
@@ -169,12 +170,13 @@ void check_kernels_match_oracle(std::mt19937& rng, std::size_t elem) {
     const auto membuf = pattern_buffer((piece.npoints() + 2 * pad) * elem, 3);
     extract_via_mapping_naive(piece, mem, membuf.data(), want, elem, ref_map);
 
-    std::vector<std::byte> got;
-    extract_from_packed(piece, piece_packed.data(), want, elem, got);
+    std::vector<std::byte> got(want.npoints() * elem);
+    gather_scatter(piece.runs_by_file(), piece_packed.data(), want, want.runs_by_file(),
+                   got.data(), elem);
     ASSERT_EQ(got, ref_extract) << "elem=" << elem;
 
     std::vector<std::byte> dst(piece_packed.size(), std::byte{0});
-    scatter_into_packed(piece, dst.data(), want, got.data(), elem);
+    gather_scatter(want.runs_by_file(), got.data(), want, piece.runs_by_file(), dst.data(), elem);
     ASSERT_EQ(dst, ref_scatter) << "elem=" << elem;
 
     std::vector<std::byte> map_got;
@@ -216,13 +218,15 @@ TEST(KernelModeEdge, EmptySelectionAllModes) {
     want.select_none();
 
     const auto             piece_packed = pattern_buffer(piece.npoints() * 4, 11);
-    std::vector<std::byte> out;
-    extract_from_packed(piece, piece_packed.data(), want, 4, out);
-    EXPECT_TRUE(out.empty());
+    const auto             poison       = pattern_buffer(16, 12);
+    std::vector<std::byte> out          = poison;
+    gather_scatter(piece.runs_by_file(), piece_packed.data(), want, want.runs_by_file(),
+                   out.data(), 4);
+    EXPECT_EQ(out, poison); // untouched
 
     auto      dst = piece_packed;
     std::byte dummy{};
-    scatter_into_packed(piece, dst.data(), want, &dummy, 4);
+    gather_scatter(want.runs_by_file(), &dummy, want, piece.runs_by_file(), dst.data(), 4);
     EXPECT_EQ(dst, piece_packed); // untouched
 }
 
@@ -251,13 +255,15 @@ TEST(KernelModeEdge, SingleElementRowsOddWidths) {
         extract_from_packed_naive(piece, packed.data(), want, elem, ref);
         ASSERT_EQ(ref.size(), want.npoints() * elem);
 
-        std::vector<std::byte> got;
-        extract_from_packed(piece, packed.data(), want, elem, got);
+        std::vector<std::byte> got(ref.size());
+        gather_scatter(piece.runs_by_file(), packed.data(), want, want.runs_by_file(), got.data(),
+                       elem);
         ASSERT_EQ(got, ref) << "elem=" << elem;
 
         std::vector<std::byte> dst_got(packed.size(), std::byte{0});
         std::vector<std::byte> dst_ref(packed.size(), std::byte{0});
-        scatter_into_packed(piece, dst_got.data(), want, got.data(), elem);
+        gather_scatter(want.runs_by_file(), got.data(), want, piece.runs_by_file(), dst_got.data(),
+                       elem);
         scatter_into_packed_naive(piece, dst_ref.data(), want, ref.data(), elem);
         ASSERT_EQ(dst_got, dst_ref) << "elem=" << elem;
     }
@@ -291,19 +297,30 @@ TEST(KernelPool, PoolOnOffByteIdentity) {
     const std::size_t elem   = 4;
     const auto        packed = pattern_buffer(piece.npoints() * elem, 21);
 
+    // an extract and a scatter: gather_scatter with the destination, then
+    // the source, laid out as want
+    auto extract = [&](std::vector<std::byte>& out) {
+        out.assign(want.npoints() * elem, std::byte{0});
+        gather_scatter(piece.runs_by_file(), packed.data(), want, want.runs_by_file(), out.data(),
+                       elem);
+    };
+    auto scatter = [&](const std::vector<std::byte>& sub_packed, std::vector<std::byte>& dst) {
+        dst.assign(packed.size(), std::byte{0});
+        gather_scatter(want.runs_by_file(), sub_packed.data(), want, piece.runs_by_file(),
+                       dst.data(), elem);
+    };
+
     par::set_enabled(false);
-    std::vector<std::byte> ref;
-    extract_from_packed(piece, packed.data(), want, elem, ref);
-    std::vector<std::byte> dst_ref(packed.size(), std::byte{0});
-    scatter_into_packed(piece, dst_ref.data(), want, ref.data(), elem);
+    std::vector<std::byte> ref, dst_ref;
+    extract(ref);
+    scatter(ref, dst_ref);
 
     par::set_enabled(true);
     par::set_parallel_threshold_bytes(1);
-    std::vector<std::byte> got;
-    extract_from_packed(piece, packed.data(), want, elem, got);
+    std::vector<std::byte> got, dst_got;
+    extract(got);
     ASSERT_EQ(got, ref);
-    std::vector<std::byte> dst_got(packed.size(), std::byte{0});
-    scatter_into_packed(piece, dst_got.data(), want, got.data(), elem);
+    scatter(got, dst_got);
     ASSERT_EQ(dst_got, dst_ref);
 }
 

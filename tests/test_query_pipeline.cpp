@@ -263,17 +263,20 @@ TEST_P(CoalescedKernelProperty, KernelsByteMatchNaiveReference) {
     for (std::size_t i = 0; i < piece_packed.size(); ++i)
         piece_packed[i] = static_cast<std::byte>((i * 13 + 7) & 0xff);
 
-    // extract_from_packed: coalesced two-pointer vs naive binary search
-    std::vector<std::byte> got, ref;
-    extract_from_packed(piece, piece_packed.data(), want, elem, got);
+    // extract (the fused merge with the destination laid out as want) vs
+    // the naive binary search
+    std::vector<std::byte> got(want.npoints() * elem), ref;
+    gather_scatter(piece.runs_by_file(), piece_packed.data(), want, want.runs_by_file(),
+                   got.data(), elem);
     extract_from_packed_naive(piece, piece_packed.data(), want, elem, ref);
     ASSERT_EQ(got, ref);
 
-    // scatter_into_packed: write the extracted bytes back through both
-    // kernels and compare destination buffers
+    // scatter (the merge with the source laid out as want): write the
+    // extracted bytes back through both kernels and compare destinations
     std::vector<std::byte> dst_got(piece_packed.size(), std::byte{0});
     std::vector<std::byte> dst_ref(piece_packed.size(), std::byte{0});
-    scatter_into_packed(piece, dst_got.data(), want, got.data(), elem);
+    gather_scatter(want.runs_by_file(), got.data(), want, piece.runs_by_file(), dst_got.data(),
+                   elem);
     scatter_into_packed_naive(piece, dst_ref.data(), want, ref.data(), elem);
     ASSERT_EQ(dst_got, dst_ref);
 

@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,25 +27,6 @@ using workflow::Link;
 using workflow::Options;
 
 namespace {
-
-/// Save/restore one environment variable around a test body.
-class EnvGuard {
-public:
-    explicit EnvGuard(const char* name) : name_(name) {
-        const char* v = std::getenv(name);
-        if (v) saved_ = v;
-    }
-    ~EnvGuard() {
-        if (saved_)
-            ::setenv(name_, saved_->c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-private:
-    const char*                name_;
-    std::optional<std::string> saved_;
-};
 
 constexpr std::uint64_t kPoints = 8;
 
@@ -97,29 +77,6 @@ TEST(StreamConfig, PolicyParseRoundTrips) {
     EXPECT_FALSE(stream::parse_policy("latest"));
     EXPECT_FALSE(stream::parse_policy(""));
     EXPECT_FALSE(stream::parse_policy("BLOCK"));
-}
-
-TEST(StreamConfig, FromEnvReadsWindowAndPolicy) {
-    EnvGuard gw("L5_STEP_WINDOW"), gp("L5_STEP_POLICY");
-    ::unsetenv("L5_STEP_WINDOW");
-    ::unsetenv("L5_STEP_POLICY");
-    auto def = stream::StreamConfig::from_env();
-    EXPECT_EQ(def.window, 4u);
-    EXPECT_EQ(def.policy, stream::StepPolicy::Block);
-
-    ::setenv("L5_STEP_WINDOW", "7", 1);
-    ::setenv("L5_STEP_POLICY", "drop", 1);
-    auto cfg = stream::StreamConfig::from_env();
-    EXPECT_EQ(cfg.window, 7u);
-    EXPECT_EQ(cfg.policy, stream::StepPolicy::Drop);
-
-    ::setenv("L5_STEP_WINDOW", "0", 1);
-    EXPECT_THROW(stream::StreamConfig::from_env(), h5::Error);
-    ::setenv("L5_STEP_WINDOW", "nope", 1);
-    EXPECT_THROW(stream::StreamConfig::from_env(), h5::Error);
-    ::setenv("L5_STEP_WINDOW", "3", 1);
-    ::setenv("L5_STEP_POLICY", "bogus", 1);
-    EXPECT_THROW(stream::StreamConfig::from_env(), h5::Error);
 }
 
 TEST(StreamConfig, NormalizedEnforcesPolicyInvariants) {
@@ -179,7 +136,7 @@ TEST(StepWindow, BlockRefusesToEvictUnconsumedSteps) {
     EXPECT_TRUE(w.make_room().empty());
 
     // one full acquire/release cycle consumes step 0 and reopens the window
-    auto a = w.acquire(stream::StepId{}.next(), false);
+    auto a = w.acquire(stream::StepId{}.next());
     ASSERT_EQ(a.status, stream::StepWindow::Acquire::Status::granted);
     EXPECT_EQ(a.step, sid(0));
     EXPECT_FALSE(w.can_admit()); // still pinned
@@ -209,7 +166,7 @@ TEST(StepWindow, DropEvictsOldestUnheldAndCountsDrops) {
     w.publish(sid(2), 0);
 
     // a pinned step survives eviction: overcommit instead
-    auto a = w.acquire(stream::StepId{}.next(), false);
+    auto a = w.acquire(stream::StepId{}.next());
     ASSERT_EQ(a.status, stream::StepWindow::Acquire::Status::granted);
     EXPECT_EQ(a.step, sid(1));
     auto ev2 = w.make_room();
@@ -234,14 +191,22 @@ TEST(StepWindow, AcquireGrantsOldestAtLeastMinOrLatest) {
     w.publish(sid(4), 0);
     w.publish(sid(6), 0);
 
-    EXPECT_EQ(w.acquire(sid(4), false).step, sid(4)); // exact match
-    EXPECT_EQ(w.acquire(sid(5), false).step, sid(6)); // next available
-    EXPECT_EQ(w.acquire(sid(0), true).step, sid(6));  // latest ignores min
+    EXPECT_EQ(w.acquire(sid(4)).step, sid(4)); // exact match
+    EXPECT_EQ(w.acquire(sid(5)).step, sid(6)); // next available
 
-    auto past = w.acquire(sid(7), false);
+    auto past = w.acquire(sid(7));
     EXPECT_EQ(past.status, stream::StepWindow::Acquire::Status::retry_later);
     w.set_eos();
-    EXPECT_EQ(w.acquire(sid(7), false).status, stream::StepWindow::Acquire::Status::eos);
+    EXPECT_EQ(w.acquire(sid(7)).status, stream::StepWindow::Acquire::Status::eos);
+
+    // the window's own latest_only policy grants the newest windowed step
+    // (both stay windowed here: nothing made room between the publishes)
+    stream::StepWindow latest(wcfg(1, stream::StepPolicy::LatestOnly));
+    latest.set_expected_consumers(1);
+    latest.publish(sid(3), 0);
+    latest.publish(sid(6), 0);
+    EXPECT_EQ(latest.acquire(sid(0)).step, sid(6)); // ignores min
+    EXPECT_EQ(latest.acquire(sid(7)).status, stream::StepWindow::Acquire::Status::retry_later);
 }
 
 TEST(StepWindow, PinFailsOnEvictedStep) {
@@ -260,9 +225,9 @@ TEST(StepWindow, ReleaseReportsFirstDrainExactlyOnce) {
     stream::StepWindow w(wcfg(4, stream::StepPolicy::Block));
     w.set_expected_consumers(2);
     w.publish(sid(0), 42);
-    EXPECT_FALSE(w.release(sid(0))); // unpinned: protocol error
+    EXPECT_FALSE(w.release(sid(0))); // unpinned: the serve loop drops it
     EXPECT_FALSE(w.release(sid(9))); // unknown step
-    w.acquire(stream::StepId{}.next(), false);
+    w.acquire(stream::StepId{}.next());
     w.pin(sid(0));
     auto r1 = w.release(sid(0));
     ASSERT_TRUE(r1);
@@ -277,7 +242,7 @@ TEST(StepWindow, DrainedNeedsEosAllDonesAndNoPins) {
     stream::StepWindow w(wcfg(4, stream::StepPolicy::Block));
     w.set_expected_consumers(1);
     w.publish(sid(0), 0);
-    w.acquire(stream::StepId{}.next(), false);
+    w.acquire(stream::StepId{}.next());
     w.set_eos();
     EXPECT_FALSE(w.drained()); // step 0 still pinned
     w.release(sid(0));
@@ -368,10 +333,9 @@ struct StreamStats {
 /// Producer body: publish `nsteps` snapshots, close, then (optionally)
 /// wave the consumer through and wait for the drain so the captured
 /// stats cover the whole stream lifecycle.
-void produce_steps(Context& ctx, int nsteps, StreamStats& out, bool gate_consumer,
-                   std::optional<stream::StreamConfig> cfg = std::nullopt) {
+void produce_steps(Context& ctx, int nsteps, StreamStats& out, bool gate_consumer) {
     {
-        stream::Writer w(ctx.vol, "s.h5", cfg);
+        stream::Writer w(ctx.vol, "s.h5");
         for (int t = 0; t < nsteps; ++t) {
             h5::File& f = w.begin_step();
             write_step(f, static_cast<std::uint64_t>(t));
@@ -388,13 +352,11 @@ void produce_steps(Context& ctx, int nsteps, StreamStats& out, bool gate_consume
 
 /// Consumer body: drain the stream, validating each step's payload, and
 /// report which steps were seen.
-std::vector<std::uint64_t> consume_steps(Context& ctx, StreamStats& out,
-                                         bool gated = false,
-                                         std::optional<stream::StreamConfig> cfg = std::nullopt) {
+std::vector<std::uint64_t> consume_steps(Context& ctx, StreamStats& out, bool gated = false) {
     if (gated && ctx.rank() == ctx.size() - 1) ctx.world.recv_value<int>(0, 77);
     if (gated) ctx.local.barrier(); // nobody subscribes before the gate
     std::vector<std::uint64_t> seen;
-    stream::Reader r(ctx.vol, "s.h5", cfg);
+    stream::Reader r(ctx.vol, "s.h5");
     while (r.next_step()) {
         seen.push_back(r.current_step().value());
         expect_step(r.file(), r.current_step().value());
@@ -654,8 +616,9 @@ TEST(Stream, WriterRejectsReservedNamesAndMisuse) {
 }
 
 TEST(Stream, LinkConfigReachesBothEnds) {
-    // neither side passes an explicit config: both resolve the link's
-    // `stream:`/`window:` declaration through set_stream
+    // the link's `stream:`/`window:` declaration reaches the Writer
+    // through the producer's set_stream; the Reader configures nothing
+    // and follows the producer's window to the end of the stream
     workflow::run(
         {
             {"producer", 1,
@@ -669,8 +632,6 @@ TEST(Stream, LinkConfigReachesBothEnds) {
             {"consumer", 1,
              [&](Context& ctx) {
                  stream::Reader r(ctx.vol, "s.h5");
-                 EXPECT_EQ(r.config().policy, stream::StepPolicy::Drop);
-                 EXPECT_EQ(r.config().window, 3u);
                  EXPECT_FALSE(r.next_step());
                  r.close();
              }},
@@ -696,8 +657,9 @@ TEST(Stream, BlockPublishHonorsDeadlinesWithTimeoutError) {
         {
             {"producer", 1,
              [&](Context& ctx) {
+                 ctx.vol->set_stream("s.h5", cfg);
                  {
-                     stream::Writer w(ctx.vol, "s.h5", cfg);
+                     stream::Writer w(ctx.vol, "s.h5");
                      write_step(w.begin_step(), 0);
                      w.end_step();
                      write_step(w.begin_step(), 1);
@@ -743,7 +705,8 @@ TEST(Stream, BlockedPublishIsNamedInDeadlockReports) {
             {
                 {"producer", 1,
                  [&](Context& ctx) {
-                     stream::Writer w(ctx.vol, "s.h5", cfg);
+                     ctx.vol->set_stream("s.h5", cfg);
+                     stream::Writer w(ctx.vol, "s.h5");
                      write_step(w.begin_step(), 0);
                      w.end_step();
                      write_step(w.begin_step(), 1);

@@ -20,8 +20,8 @@
 // --- zero-copy serve path (enc == 2 aliased payloads) -------------------------
 
 TEST(ZeroCopyServe, FullPieceReadAliasesBuffer) {
-    // a whole-piece read above the threshold goes out as an aliased
-    // payload message (no serve-side copy); the consumer must still see
+    // a whole-piece read of a Deep piece goes out as an aliased payload
+    // message (no serve-side copy); the consumer must still see
     // byte-identical data
     const std::uint64_t total = 1u << 15; // 256 KiB of u64
     workflow::run(
@@ -43,32 +43,6 @@ TEST(ZeroCopyServe, FullPieceReadAliasesBuffer) {
                  auto     vals = f.open_dataset("v").read_vector<std::uint64_t>();
                  ASSERT_EQ(vals.size(), total);
                  for (std::uint64_t i = 0; i < total; ++i) ASSERT_EQ(vals[i], i * 3 + 1);
-                 f.close();
-             }},
-        },
-        {workflow::Link{0, 1, "*"}});
-}
-
-TEST(ZeroCopyServe, BelowThresholdStaysInline) {
-    // pieces under zero_copy_min_bytes ride inline in the reply header
-    const std::uint64_t total = 512; // 4 KiB < 64 KiB default threshold
-    workflow::run(
-        {
-            {"producer", 1,
-             [&](workflow::Context& ctx) {
-                 h5::File f = h5::File::create("zc_small.h5", ctx.vol);
-                 auto d = f.create_dataset("v", h5::dt::uint64(), h5::Dataspace({total}));
-                 std::vector<std::uint64_t> vals(total);
-                 for (std::uint64_t i = 0; i < total; ++i) vals[i] = i;
-                 d.write(vals.data(), h5::Dataspace({total}));
-                 f.close();
-                 EXPECT_EQ(ctx.vol->stats().n_zero_copy_pieces, 0u);
-             }},
-            {"consumer", 1,
-             [&](workflow::Context& ctx) {
-                 h5::File f    = h5::File::open("zc_small.h5", ctx.vol);
-                 auto     vals = f.open_dataset("v").read_vector<std::uint64_t>();
-                 for (std::uint64_t i = 0; i < total; ++i) ASSERT_EQ(vals[i], i);
                  f.close();
              }},
         },
@@ -399,7 +373,6 @@ TEST(ZeroCopyServe, AliasedPartialPiecesSurviveRewrites) {
         {
             {"producer", 2,
              [&](workflow::Context& ctx) {
-                 ctx.vol->set_zero_copy_min_bytes(1); // every piece aliased
                  const auto mine = slab(0, ctx.rank());
                  h5::Dataspace sel({n, n});
                  sel.select_box(mine);
