@@ -136,6 +136,38 @@ TEST(AsyncServe, DropFileWaitsForConsumers) {
         {Link{0, 1, "*"}}, async_opts());
 }
 
+// A background open is answered at once, so a consumer rank that is
+// faster than the producer can reopen the current version before the next
+// publish and send two Dones for one publish. The extra Done is a credit
+// that the next publish uses up: the consumer reads nothing after it, and
+// teardown must still drain instead of waiting for a Done that never comes.
+TEST(AsyncServe, ReopenBeforeNextPublishStillDrains) {
+    workflow::Options opts          = async_opts();
+    opts.runtime.default_timeout_ms = 10000; // a hang fails as a timeout
+    workflow::run(
+        {
+            {"producer", 1,
+             [](Context& ctx) {
+                 write_step(ctx, "reopen.h5", 1, 16);
+                 write_step(ctx, "fence.h5", 1, 16);
+                 (void)ctx.world.recv_value<int>(1, 401);
+                 write_step(ctx, "reopen.h5", 2, 16);
+                 ctx.vol->finish_serving();
+             }},
+            {"consumer", 1,
+             [](Context& ctx) {
+                 read_step(ctx, "reopen.h5", 1, 16);
+                 read_step(ctx, "reopen.h5", 1, 16);
+                 // one serve thread handles this rank's requests in order,
+                 // so this open is answered only after both Dones above
+                 // were: the extra Done lands before the second publish
+                 read_step(ctx, "fence.h5", 1, 16);
+                 ctx.world.send_value(0, 401, 1);
+             }},
+        },
+        {Link{0, 1, "*"}}, opts);
+}
+
 // Regression for the Stats data race: the background serve thread used
 // to bump a plain Stats struct that the producer thread read while
 // serving was still in flight. stats() / metrics snapshots / tracer
