@@ -19,8 +19,8 @@ non-atomic-toggle
             globals (`bool g_verbose`, `int g_mode`, ...): they are read
             and flipped across rank threads, which is a data race under
             TSan and the deterministic scheduler. Use std::atomic with
-            explicit memory order (see h5::par's enabled flag), or guard the
-            state with a mutex. const/constexpr and thread_local globals
+            explicit memory order (see h5::par's fan-out threshold), or guard
+            the state with a mutex. const/constexpr and thread_local globals
             are exempt — they are not shared mutable state.
 raw-step-index
             the stream-facing public headers (src/lowfive/stream/*.hpp)

@@ -1,5 +1,7 @@
 #include "copy.hpp"
 
+#include <cstring>
+
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
 #define L5_KERN_X86 1
@@ -9,76 +11,26 @@ namespace h5 {
 namespace kern {
 namespace {
 
-/// Above this size a copy is DRAM-bound and its destination will not be
-/// re-read soon; streaming (non-temporal) stores avoid evicting the
-/// working set through the cache hierarchy.
-constexpr std::size_t stream_threshold = 4u << 20;
-
-using WideFn = void (*)(std::byte*, const std::byte*, std::size_t);
-
-/// Unrolled 64-bit word loop — the portable wide path. The fixed-size
-/// memcpy calls compile to register moves; the 64 B unroll gives the
-/// autovectorizer a clean shot on any target.
-void wide_word(std::byte* dst, const std::byte* src, std::size_t n) {
-    std::size_t i = 0;
-    for (; i + 64 <= n; i += 64) {
-        std::uint64_t w0, w1, w2, w3, w4, w5, w6, w7;
-        std::memcpy(&w0, src + i, 8);
-        std::memcpy(&w1, src + i + 8, 8);
-        std::memcpy(&w2, src + i + 16, 8);
-        std::memcpy(&w3, src + i + 24, 8);
-        std::memcpy(&w4, src + i + 32, 8);
-        std::memcpy(&w5, src + i + 40, 8);
-        std::memcpy(&w6, src + i + 48, 8);
-        std::memcpy(&w7, src + i + 56, 8);
-        std::memcpy(dst + i, &w0, 8);
-        std::memcpy(dst + i + 8, &w1, 8);
-        std::memcpy(dst + i + 16, &w2, 8);
-        std::memcpy(dst + i + 24, &w3, 8);
-        std::memcpy(dst + i + 32, &w4, 8);
-        std::memcpy(dst + i + 40, &w5, 8);
-        std::memcpy(dst + i + 48, &w6, 8);
-        std::memcpy(dst + i + 56, &w7, 8);
-    }
-    if (i < n) copy(dst + i, src + i, n - i);
-}
-
 #if L5_KERN_X86
 
-__attribute__((target("avx2"))) void wide_avx2(std::byte* dst, const std::byte* src,
-                                               std::size_t n) {
-    std::size_t i = 0;
-    for (; i + 128 <= n; i += 128) {
-        const __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-        const __m256i v1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 32));
-        const __m256i v2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 64));
-        const __m256i v3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 96));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), v1);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 64), v2);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 96), v3);
-    }
-    for (; i + 32 <= n; i += 32)
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)));
-    if (i < n) {
-        // callers guarantee n > 64, so an overlapping 32 B tail is in bounds
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + n - 32),
-                            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + n - 32)));
-    }
+/// From this size on a segment is DRAM-bound and its destination will not
+/// be re-read soon (the producer's pack chunks), so non-temporal stores
+/// keep it from evicting the working set. glibc's memcpy streams only far
+/// above this, and below it memcpy is the faster copy.
+constexpr std::size_t stream_threshold = 4u << 20;
+
+bool have_avx2() {
+    static const bool yes = __builtin_cpu_supports("avx2");
+    return yes;
 }
 
-/// Streaming variant: align the destination, then non-temporal stores
-/// that bypass the cache; the trailing sfence orders them before any
-/// subsequent release operation (the pool's completion publish).
+/// Align the destination, then non-temporal stores that bypass the
+/// cache; the sfence orders them before any later release operation
+/// (the pool's completion publish). Called only for n >= stream_threshold.
 __attribute__((target("avx2"))) void stream_avx2(std::byte* dst, const std::byte* src,
                                                  std::size_t n) {
-    const std::size_t mis  = reinterpret_cast<std::uintptr_t>(dst) & 31u;
-    const std::size_t head = mis ? 32 - mis : 0;
-    if (head) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
-                            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src)));
-    }
+    const std::size_t head = (32 - (reinterpret_cast<std::uintptr_t>(dst) & 31u)) & 31u;
+    std::memcpy(dst, src, head);
     std::size_t i = head;
     for (; i + 128 <= n; i += 128) {
         const __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
@@ -91,53 +43,36 @@ __attribute__((target("avx2"))) void stream_avx2(std::byte* dst, const std::byte
         _mm256_stream_si256(reinterpret_cast<__m256i*>(dst + i + 96), v3);
     }
     _mm_sfence();
-    if (i < n) {
-        const std::size_t rest = n - i;
-        if (rest > 64) wide_avx2(dst + i, src + i, rest);
-        else copy(dst + i, src + i, rest);
-    }
+    std::memcpy(dst + i, src + i, n - i);
 }
-
-bool have_avx2() { return __builtin_cpu_supports("avx2"); }
 
 #endif // L5_KERN_X86
 
-struct Dispatch {
-    WideFn      wide;
-    WideFn      stream;
-    const char* name;
-};
-
-Dispatch resolve() {
+void copy(std::byte* dst, const std::byte* src, std::size_t n) {
 #if L5_KERN_X86
-    if (have_avx2()) return {&wide_avx2, &stream_avx2, "avx2"};
+    if (n >= stream_threshold && have_avx2()) {
+        stream_avx2(dst, src, n);
+        return;
+    }
 #endif
-    return {&wide_word, &wide_word, "word"};
-}
-
-const Dispatch& dispatch() {
-    static const Dispatch d = resolve();
-    return d;
+    std::memcpy(dst, src, n);
 }
 
 } // namespace
 
-const char* dispatch_name() { return dispatch().name; }
-
-namespace detail {
-
-void copy_wide(std::byte* dst, const std::byte* src, std::size_t n) {
-    const Dispatch& d = dispatch();
-    if (n >= stream_threshold) d.stream(dst, src, n);
-    else d.wide(dst, src, n);
+const char* dispatch_name() {
+#if L5_KERN_X86
+    if (have_avx2()) return "avx2";
+#endif
+    return "memcpy";
 }
-
-} // namespace detail
 
 void copy_segments(std::byte* dst_base, const std::byte* src_base, const Seg* segs,
                    std::size_t n) {
+    // memcpy needs valid pointers even for 0 bytes, and an empty buffer's
+    // data() may be null
     for (std::size_t i = 0; i < n; ++i)
-        copy(dst_base + segs[i].dst, src_base + segs[i].src, segs[i].len);
+        if (segs[i].len) copy(dst_base + segs[i].dst, src_base + segs[i].src, segs[i].len);
 }
 
 } // namespace kern

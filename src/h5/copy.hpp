@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 namespace h5 {
 
@@ -19,67 +18,29 @@ namespace h5 {
 void copy_object(const NodeRef& src, const std::string& src_path, const NodeRef& dst,
                  const std::string& dst_name);
 
-/// Width-specialized byte-moving kernels for the selection data plane.
+/// The byte-moving core of the selection data plane.
 ///
-/// Selection transfers decompose into runs whose lengths cluster around
-/// the element size times a row length — anywhere from a single odd-width
-/// element (1–7 bytes) up to a full contiguous slab. `kern::copy` handles
-/// that distribution with three regimes: an inline overlapping head/tail
-/// small copy (≤ 64 B, no branches on exact width), a runtime-dispatched
-/// wide loop (AVX2 where the CPU has it, an unrolled 64-bit word loop
-/// otherwise), and a streaming (non-temporal) path for very large runs
-/// that would otherwise evict the cache.
+/// Selection transfers decompose into segments whose lengths range from a
+/// single odd-width element up to a full contiguous slab. A segment
+/// shorter than 4 MiB is one `std::memcpy`. A segment of 4 MiB or more
+/// goes through a non-temporal AVX2 loop when the CPU has AVX2, so a
+/// large pack does not evict the working set; glibc's own `memcpy`
+/// switches to non-temporal stores only far above that size.
 namespace kern {
 
 /// One byte-moving segment of a selection transfer: `len` bytes from
-/// `src_base + src` to `dst_base + dst`. Vectorized kernels materialize
-/// a flat list of these from the two-pointer run merge, then hand the
-/// list to `copy_segments` (or split it across the h5::par pool).
+/// `src_base + src` to `dst_base + dst`. The selection kernels
+/// materialize a flat list of these from the two-pointer run merge, then
+/// hand the list to `copy_segments` (or split it across the h5::par pool).
 struct Seg {
     std::uint64_t dst = 0;
     std::uint64_t src = 0;
     std::uint64_t len = 0;
 };
 
-/// Name of the resolved wide-copy implementation ("avx2" or "word");
-/// decided once per process from CPU features.
+/// Name of the copy used for segments of 4 MiB or more: "avx2" when the
+/// CPU has AVX2, "memcpy" otherwise; decided once per process.
 const char* dispatch_name();
-
-namespace detail {
-/// Out-of-line copy for n > 64: the dispatched wide loop, switching to
-/// streaming stores above the cache-evasion threshold.
-void copy_wide(std::byte* dst, const std::byte* src, std::size_t n);
-} // namespace detail
-
-/// Copy `n` bytes between non-overlapping buffers. The ≤ 64 B path is
-/// inline and uses the overlapping head/tail trick: two fixed-size
-/// copies cover any length in a power-of-two bracket without a
-/// per-length branch ladder, and fixed-size memcpy compiles to plain
-/// register moves.
-inline void copy(std::byte* dst, const std::byte* src, std::size_t n) {
-    if (n > 64) {
-        detail::copy_wide(dst, src, n);
-        return;
-    }
-    if (n >= 32) {
-        std::memcpy(dst, src, 32);
-        std::memcpy(dst + n - 32, src + n - 32, 32);
-    } else if (n >= 16) {
-        std::memcpy(dst, src, 16);
-        std::memcpy(dst + n - 16, src + n - 16, 16);
-    } else if (n >= 8) {
-        std::memcpy(dst, src, 8);
-        std::memcpy(dst + n - 8, src + n - 8, 8);
-    } else if (n >= 4) {
-        std::memcpy(dst, src, 4);
-        std::memcpy(dst + n - 4, src + n - 4, 4);
-    } else if (n >= 2) {
-        std::memcpy(dst, src, 2);
-        std::memcpy(dst + n - 2, src + n - 2, 2);
-    } else if (n == 1) {
-        *dst = *src;
-    }
-}
 
 /// Apply a batch of segments against a (dst, src) buffer pair. Segments
 /// must reference disjoint destination ranges (selection runs are

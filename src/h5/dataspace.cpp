@@ -370,8 +370,7 @@ void run_segments(std::byte* dst, const std::byte* src, const std::vector<kern::
 
 // pack has no lookup side (one selection, both layouts known), so there
 // is nothing to merge: emit one segment per coalesced run and let the
-// segment runner pick the copy width and fan-out. Byte-identical to the
-// old per-run memcpy loop.
+// segment runner decide the fan-out.
 
 void pack_selection(const Dataspace& space, const void* full, std::size_t elem, void* packed) {
     const auto* src = static_cast<const std::byte*>(full);
@@ -410,8 +409,8 @@ std::vector<SelRun> mapped_runs(const Dataspace& filespace, const Dataspace& mem
 
 // --- vectorized segment runner -----------------------------------------------
 //
-// The merges materialize a flat segment list {dst, src, len} for the
-// width-specialized kern:: copy kernels. Above the h5::par threshold the
+// The merges materialize a flat segment list {dst, src, len} for
+// kern::copy_segments. Above the h5::par threshold the
 // list is split into ~equal-byte chunks (cutting large segments, so a
 // single slab-on-slab run still fans out) and executed across the pool —
 // destinations are disjoint by construction, so chunks are independent.
@@ -421,13 +420,11 @@ namespace {
 struct KernelMetrics {
     obs::Counter& bytes;    ///< kernel.bytes moved through run_segments
     obs::Counter& segments; ///< kernel.segments materialized
-    obs::Counter& par_jobs; ///< kernel.parallel_jobs fanned out
 
     static KernelMetrics& get() {
         static KernelMetrics m{
             obs::Registry::global().counter("kernel.bytes"),
             obs::Registry::global().counter("kernel.segments"),
-            obs::Registry::global().counter("kernel.parallel_jobs"),
         };
         return m;
     }
@@ -467,7 +464,6 @@ void run_segments(std::byte* dst, const std::byte* src, const std::vector<kern::
         kern::copy_segments(dst, src, segs.data(), segs.size());
         return;
     }
-    m.par_jobs.inc();
     const auto chunks = split_segments(segs, bytes, par::chunk_count(bytes));
     par::parallel_for(chunks.size(), [&](std::size_t i) {
         kern::copy_segments(dst, src, chunks[i].data(), chunks[i].size());
@@ -511,8 +507,7 @@ std::vector<kern::Seg> plan_merge(std::span<const Run> src_runs, const Dataspace
     return segs;
 }
 
-/// Plan, then copy through the width-specialized kernels and the pool
-/// fan-out.
+/// Plan, then copy through kern::copy_segments and the pool fan-out.
 void merge(std::span<const Run> src_runs, const void* src, const Dataspace& sub,
            std::span<const Run> dst_runs, void* dst, std::size_t elem) {
     run_segments(static_cast<std::byte*>(dst), static_cast<const std::byte*>(src),

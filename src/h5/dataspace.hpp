@@ -169,8 +169,8 @@ std::vector<SelRun> mapped_runs(const Dataspace& filespace, const Dataspace& mem
 /// buffer — a selection's `runs_by_file()` for a buffer packed in its
 /// iteration order, or `located_runs()` for one it is only part of — and
 /// both must cover `sub`; otherwise h5::Error is thrown before any byte
-/// is copied. Segments run through the width-specialized kernels and the
-/// h5::par fan-out. An extract is this merge with the destination laid
+/// is copied. Segments run through kern::copy_segments and the h5::par
+/// fan-out. An extract is this merge with the destination laid
 /// out as `sub`; a scatter is this merge with the source laid out as `sub`.
 void gather_scatter(std::span<const SelRun> src_runs, const void* src, const Dataspace& sub,
                     std::span<const SelRun> dst_runs, void* dst, std::size_t elem);

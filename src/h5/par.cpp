@@ -58,11 +58,6 @@ int configured_workers() {
     return w;
 }
 
-std::atomic<bool>& enabled_flag() {
-    static std::atomic<bool> on{configured_workers() > 0};
-    return on;
-}
-
 std::atomic<std::size_t>& threshold_state() {
     static std::atomic<std::size_t> t{resolve_threshold()};
     return t;
@@ -225,9 +220,6 @@ void run_scheduled(simmpi::detail::Scheduler* s, std::size_t n,
 
 int workers() { return configured_workers(); }
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-void set_enabled(bool on) { enabled_flag().store(on, std::memory_order_relaxed); }
-
 std::size_t parallel_threshold_bytes() {
     return threshold_state().load(std::memory_order_relaxed);
 }
@@ -236,7 +228,7 @@ void set_parallel_threshold_bytes(std::size_t bytes) {
 }
 
 bool should_parallelize(std::size_t bytes) {
-    return enabled() && configured_workers() > 0 && bytes >= parallel_threshold_bytes();
+    return configured_workers() > 0 && bytes >= parallel_threshold_bytes();
 }
 
 std::size_t chunk_count(std::size_t bytes) {
@@ -248,7 +240,7 @@ std::size_t chunk_count(std::size_t bytes) {
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
     if (n == 0) return;
     Metrics& metrics = Metrics::get();
-    if (n < 2 || !enabled() || configured_workers() < 1) {
+    if (n < 2 || configured_workers() < 1) {
         metrics.inline_runs.inc();
         for (std::size_t i = 0; i < n; ++i) fn(i);
         return;

@@ -39,17 +39,12 @@ namespace par {
 /// (0 = pool disabled, everything runs inline).
 int workers();
 
-/// Pool on/off toggle (process-wide, atomic). Defaults to on when the
-/// machine has ≥ 2 hardware threads and `L5_DATA_THREADS` ≠ 0.
-bool enabled();
-void set_enabled(bool on);
-
 /// Minimum transfer size, in bytes, that fans out across the pool.
 std::size_t parallel_threshold_bytes();
 void        set_parallel_threshold_bytes(std::size_t bytes);
 
-/// Should a transfer of `bytes` fan out? (enabled, workers available,
-/// and at least the threshold.)
+/// Should a transfer of `bytes` fan out? (workers available and at
+/// least the threshold.)
 bool should_parallelize(std::size_t bytes);
 
 /// Target number of chunks for a transfer of `bytes`: enough to keep
@@ -62,7 +57,7 @@ std::size_t chunk_count(std::size_t bytes);
 /// Rethrows the first chunk exception after the job drains. Chunks must
 /// write disjoint data. Routes through deterministic scheduler
 /// participants when the caller is attached to one (see file comment);
-/// runs inline when the pool is disabled or n < 2.
+/// runs inline when there are no workers or n < 2.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 } // namespace par

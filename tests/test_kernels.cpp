@@ -1,8 +1,8 @@
-/// Property tests for the data-plane copy kernels: the width-specialized
-/// kern:: copy primitives, byte identity of the selection kernels with
-/// their naive oracle across odd element widths and degenerate
-/// selections, pool-on/off identity, and schedule-hash replay with the
-/// pool forced on under the deterministic scheduler.
+/// Property tests for the data-plane copy kernels: kern::copy_segments
+/// across segment sizes and destination alignments, byte identity of the
+/// selection kernels with their naive oracle across odd element widths
+/// and degenerate selections, pool/inline identity, and schedule-hash
+/// replay with the pool forced on under the deterministic scheduler.
 
 #include <h5/copy.hpp>
 #include <h5/par.hpp>
@@ -25,15 +25,11 @@ using namespace h5;
 
 namespace {
 
-/// Restore the process-wide pool knobs on scope exit so a failing
+/// Restore the process-wide fan-out threshold on scope exit so a failing
 /// assertion cannot leak a setting into later tests.
 struct KernelEnvGuard {
-    bool        pool   = par::enabled();
     std::size_t thresh = par::parallel_threshold_bytes();
-    ~KernelEnvGuard() {
-        par::set_enabled(pool);
-        par::set_parallel_threshold_bytes(thresh);
-    }
+    ~KernelEnvGuard() { par::set_parallel_threshold_bytes(thresh); }
 };
 
 std::vector<std::byte> pattern_buffer(std::size_t n, unsigned salt) {
@@ -74,38 +70,39 @@ void random_partition(std::mt19937& rng, const diy::Bounds& domain, int depth,
 // --- kern:: copy primitives --------------------------------------------------
 
 TEST(KernCopy, ByteIdentityAcrossSizesWithSentinels) {
-    // every size class the dispatcher distinguishes: inline head/tail
-    // (<= 64), the unrolled word loop, the SIMD main loop and its
-    // overlapping tail, around every power-of-two boundary
+    // one segment per size: small and odd lengths, every power-of-two
+    // boundary up to 4 KiB, and both sides of the 4 MiB switch to the
+    // non-temporal loop, whose memcpy head and tail depend on the
+    // destination's offset from a 32-byte boundary
     std::vector<std::size_t> sizes;
     for (std::size_t n = 0; n <= 70; ++n) sizes.push_back(n);
     for (std::size_t n : {127u, 128u, 129u, 255u, 256u, 257u, 1000u, 4095u, 4096u, 4097u})
         sizes.push_back(n);
     sizes.push_back((1u << 16) + 3);
+    for (std::size_t n : {(4u << 20) - 1, 4u << 20, (4u << 20) + 13}) sizes.push_back(n);
 
-    constexpr std::size_t guard = 32;
+    constexpr std::size_t guard    = 64;
+    const auto            sentinel = [](std::byte b) { return b == std::byte{0xEE}; };
     for (std::size_t n : sizes) {
-        const auto             src = pattern_buffer(n, static_cast<unsigned>(n));
-        std::vector<std::byte> dst(n + 2 * guard, std::byte{0xEE});
-        kern::copy(dst.data() + guard, src.data(), n);
-        ASSERT_TRUE(std::equal(src.begin(), src.end(), dst.begin() + guard)) << "n=" << n;
-        // the overlapping head/tail stores must stay inside [0, n)
-        for (std::size_t i = 0; i < guard; ++i) {
-            ASSERT_EQ(dst[i], std::byte{0xEE}) << "n=" << n << " leading guard " << i;
-            ASSERT_EQ(dst[guard + n + i], std::byte{0xEE}) << "n=" << n << " trailing guard " << i;
+        // n = 0 comes from an empty vector, whose data() may be null
+        const auto src = pattern_buffer(n, static_cast<unsigned>(n));
+        for (std::size_t off : {0u, 1u, 16u, 31u}) {
+            // the segment starts `off` bytes past a 32-byte boundary
+            std::vector<std::byte> dst(n + 3 * guard, std::byte{0xEE});
+            const auto             base = reinterpret_cast<std::uintptr_t>(dst.data());
+            const kern::Seg        seg{guard + (32 - base % 32) % 32 + off, 0, n};
+            kern::copy_segments(dst.data(), src.data(), &seg, 1);
+            const auto begin = dst.begin() + static_cast<std::ptrdiff_t>(seg.dst);
+            const auto end   = begin + static_cast<std::ptrdiff_t>(n);
+            ASSERT_TRUE(std::equal(src.begin(), src.end(), begin)) << "n=" << n << " off=" << off;
+            ASSERT_TRUE(std::all_of(dst.begin(), begin, sentinel))
+                << "n=" << n << " off=" << off << ": store before the segment";
+            ASSERT_TRUE(std::all_of(end, dst.end(), sentinel))
+                << "n=" << n << " off=" << off << ": store after the segment";
         }
     }
-    EXPECT_NE(kern::dispatch_name(), nullptr);
-    EXPECT_GT(std::string(kern::dispatch_name()).size(), 0u);
-}
-
-TEST(KernCopy, StreamingPathAboveThreshold) {
-    // 5 MiB crosses the non-temporal-store threshold (4 MiB)
-    const std::size_t n   = (5u << 20) + 13;
-    const auto        src = pattern_buffer(n, 5);
-    std::vector<std::byte> dst(n);
-    kern::copy(dst.data(), src.data(), n);
-    EXPECT_EQ(src, dst);
+    const std::string name = kern::dispatch_name();
+    EXPECT_TRUE(name == "avx2" || name == "memcpy") << name;
 }
 
 TEST(KernCopy, SegmentsIncludingZeroLength) {
@@ -116,7 +113,7 @@ TEST(KernCopy, SegmentsIncludingZeroLength) {
     const std::vector<kern::Seg> segs{
         {0, 100, 7},    // odd length, unaligned source
         {7, 0, 0},      // zero-length: must be a no-op
-        {10, 2000, 65}, // just over the inline small-copy limit
+        {10, 2000, 65}, // unaligned on both sides
         {100, 300, 1},  // single byte
         {200, 1024, 512},
     };
@@ -276,7 +273,7 @@ TEST(KernelPool, PoolOnOffByteIdentity) {
     KernelEnvGuard guard;
 
     // 2 MiB across many runs: with a 1-byte threshold this fans out into
-    // multiple chunks; the result must match the inline (pool-off) path
+    // multiple chunks; the result must match the inline path
     const Extent dims{512, 1024}; // u32 elements -> 2 MiB full extent
     Dataspace    piece(dims);
     piece.select_none();
@@ -310,12 +307,11 @@ TEST(KernelPool, PoolOnOffByteIdentity) {
                        dst.data(), elem);
     };
 
-    par::set_enabled(false);
+    par::set_parallel_threshold_bytes(SIZE_MAX); // every transfer inline
     std::vector<std::byte> ref, dst_ref;
     extract(ref);
     scatter(ref, dst_ref);
 
-    par::set_enabled(true);
     par::set_parallel_threshold_bytes(1);
     std::vector<std::byte> got, dst_got;
     extract(got);
@@ -326,8 +322,6 @@ TEST(KernelPool, PoolOnOffByteIdentity) {
 
 TEST(KernelPool, ParallelForExceptionPropagates) {
     if (par::workers() < 1) GTEST_SKIP() << "pool disabled";
-    KernelEnvGuard guard;
-    par::set_enabled(true);
     EXPECT_THROW(
         par::parallel_for(8,
                           [](std::size_t i) {
@@ -395,7 +389,6 @@ std::uint64_t pooled_replay_run(std::uint64_t seed) {
 TEST(KernelPool, ScheduleHashReplaysWithPoolEnabled) {
     if (par::workers() < 1) GTEST_SKIP() << "pool disabled";
     KernelEnvGuard guard;
-    par::set_enabled(true);
     par::set_parallel_threshold_bytes(1); // every transfer fans out
 
     for (std::uint64_t seed : {1ull, 7ull, 23ull}) {
